@@ -12,7 +12,8 @@ class ConvergenceError(RuntimeError):
 
     Attributes:
         last_value: the last scalar estimate (if any).
-        last_iterate: the last iterate vector (if any).
+        last_iterate: the last iterate (if any): a vector for the eigen
+            solve, the evaluated (t, worst TV) curve for the mixing search.
         iterations: number of iterations performed.
     """
 

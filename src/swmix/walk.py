@@ -8,9 +8,11 @@ laziness, and reversible with stationary distribution pi_v = deg(v) / 2|E|.
 Mixing time is the first t at which the total-variation distance to pi,
 maximized over the chosen start vertices, drops to epsilon (1/4 by default).
 For lazy chains that distance is nonincreasing in t, so the search doubles t
-until the target is bracketed and then bisects, restarting from cached
-distributions instead of from scratch.  Distributions are evolved in 64-bit
-floats with one renormalization every 64 steps to pin down mass drift.
+(up to a step cap) until the target is bracketed and then bisects, restarting
+from cached distributions instead of from scratch.  Distributions are evolved
+in 64-bit floats with one renormalization every 64 steps to pin down mass
+drift.  The spectral gap comes from one Lanczos solve on the symmetrized
+kernel.
 
 With ``starts="all"`` the estimate is exact.  Above EXACT_STARTS_MAX_VERTICES
 vertices the ``"auto"`` policy switches to a documented heuristic start set,
@@ -52,6 +54,9 @@ EXACT_STARTS_MAX_VERTICES = 400
 
 # Steps between in-place renormalizations of evolved distributions.
 _RENORM_EVERY = 64
+
+# Largest t the mixing search evaluates before giving up.
+_MAX_STEPS = 1_000_000
 
 
 def stationary(graph: SmallWorldGraph) -> np.ndarray:
@@ -181,6 +186,12 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
     Returns:
         MixingEstimate; its t_mix satisfies the threshold and t_mix - 1
         does not, as TV from stationarity is nonincreasing for lazy walks.
+
+    Raises:
+        ConvergenceError: if the worst TV distance at t = _MAX_STEPS is
+            still above epsilon; the error carries that distance as
+            last_value, the evaluated (t, worst TV) curve as last_iterate
+            and _MAX_STEPS as iterations.
     """
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
@@ -199,19 +210,23 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
         return MixingEstimate(0, epsilon, start_vertices, exact, tuple(curve))
 
     snapshots = {0: Y}
-    t, probe = 0, 1
+    lo, hi = 0, 1  # lo: last probe that failed
     while True:
-        Y = _evolve(kernel_t, Y, t, probe)
-        t = probe
-        snapshots[t] = Y
+        Y = _evolve(kernel_t, Y, lo, hi)
+        snapshots[hi] = Y
         tv = worst_tv(Y)
-        curve.append((t, tv))
+        curve.append((hi, tv))
         if tv <= epsilon:
-            hi = t
             break
-        probe *= 2
+        if hi == _MAX_STEPS:
+            raise ConvergenceError(
+                f"worst TV distance {tv:.3g} still above {epsilon} after {_MAX_STEPS} steps",
+                last_value=tv,
+                last_iterate=tuple(curve),
+                iterations=_MAX_STEPS,
+            )
+        lo, hi = hi, min(2 * hi, _MAX_STEPS)
 
-    lo = hi // 2  # last probe that failed (or 0)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         base = max(s for s in snapshots if s <= mid)
@@ -227,85 +242,69 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
     return MixingEstimate(int(hi), epsilon, start_vertices, exact, tuple(curve))
 
 
-def second_eigenpair(graph: SmallWorldGraph, tol=1e-6, max_iter=30_000):
+def second_eigenpair(graph: SmallWorldGraph, tol=1e-10, max_iter=30_000):
     """Second-largest eigenvalue of the lazy kernel and its eigenvector.
 
-    Works on the symmetrized kernel S = D^(1/2) P D^(-1/2), whose known top
-    eigenvector sqrt(pi) is deflated exactly at every step of a power
-    iteration.  Laziness puts the whole spectrum in [0, 1], so the dominant
-    remaining eigenvalue is lambda_2 itself.  Returns (lambda_2, x) with x
-    the unit eigenvector of S; the corresponding right eigenvector of P is
-    D^(-1/2) x.
+    Works on the symmetrized kernel S = D^(1/2) P D^(-1/2) with its known top
+    eigenvector sqrt(pi) deflated, so the operator keeps the spectrum of S
+    except that eigenvalue 1 becomes 0.  Laziness puts the whole spectrum in
+    [0, 1], so the largest remaining eigenvalue is lambda_2 itself, found by
+    one ARPACK Lanczos solve (``eigsh``, k=1, largest algebraic) from a
+    seeded start vector.  Returns (lambda_2, x) with x the unit eigenvector
+    of S; the corresponding right eigenvector of P is D^(-1/2) x.
 
-    When the power iteration hits its cap without settling (nearly
-    degenerate lambda_2 ~ lambda_3, e.g. at large r where the two torus
-    axis modes split only by the few long-range edges), a Lanczos solve on
-    the deflated operator finishes the job from the last iterate.
+    Args:
+        tol: ARPACK's relative residual tolerance: the solve stops once
+            ||S x - lambda_2 x|| <= tol * lambda_2.  The default makes the
+            eigenvector converged to ~1e-10, as sweep_cut needs; 0 asks
+            for machine precision.
+        max_iter: cap on ARPACK's implicit restarts.
 
     Raises:
-        ConvergenceError: if the Lanczos fallback also fails to converge;
-            the error carries the last iterate.
+        ConvergenceError: if the solve does not converge within max_iter
+            restarts.  A converged eigenpair would have ended the solve, so
+            the error carries the last vector the solver produced (unit
+            norm) as last_iterate and its Rayleigh quotient, a lower bound
+            on lambda_2, as last_value.
     """
     deg = graph.degrees.astype(np.float64)
     u1 = np.sqrt(deg)
     u1 /= np.linalg.norm(u1)
     dinv_sqrt = 1.0 / np.sqrt(deg)
     adj = graph.adjacency
+    # ARPACK hands back no partial pair for k=1, so the error reports the
+    # last product the solver asked for.
+    last = None
 
-    def apply_s(x):
-        return 0.5 * x + 0.5 * dinv_sqrt * (adj @ (dinv_sqrt * x))
+    def apply_deflated(x):
+        nonlocal last
+        last = 0.5 * x + 0.5 * dinv_sqrt * (adj @ (dinv_sqrt * x)) - (u1 @ x) * u1
+        return last
 
     ss = np.random.SeedSequence(entropy=graph.params.seed, spawn_key=(0, 2))
     rng = np.random.Generator(np.random.Philox(ss))
     v = rng.standard_normal(graph.num_vertices)
     v -= (u1 @ v) * u1
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return 0.0, v  # single-vertex graph; nothing besides the top eigenvector
-    v /= norm
-
-    check_every = 16
-    lam = lam_prev = -np.inf
-    settled = 0
-    for it in range(1, max_iter + 1):
-        w = apply_s(v)
-        w -= (u1 @ w) * u1
-        lam = float(v @ w)
-        n2 = np.linalg.norm(w)
-        if n2 == 0.0:
-            return 0.0, v
-        v = w / n2
-        if it % check_every == 0:
-            gap_now = 1.0 - lam
-            gap_prev = 1.0 - lam_prev
-            if math.isfinite(gap_prev) and abs(gap_now - gap_prev) <= 0.01 * tol * abs(gap_now):
-                settled += 1
-                if settled >= 2:
-                    return lam, v
-            else:
-                settled = 0
-            lam_prev = lam
     num = graph.num_vertices
-    op = scipy.sparse.linalg.LinearOperator(
-        (num, num), matvec=lambda x: apply_s(x) - (u1 @ x) * u1, dtype=np.float64
-    )
+    op = scipy.sparse.linalg.LinearOperator((num, num), matvec=apply_deflated, dtype=np.float64)
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v)
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v, tol=tol, maxiter=max_iter)
     except scipy.sparse.linalg.ArpackNoConvergence:
+        x = last / np.linalg.norm(last)
         raise ConvergenceError(
-            f"power iteration did not settle within {max_iter} iterations",
-            last_value=1.0 - lam,
-            last_iterate=v,
+            f"Lanczos solve did not converge within {max_iter} restarts",
+            last_value=float(x @ apply_deflated(x)),
+            last_iterate=x,
             iterations=max_iter,
         ) from None
-    x = vecs[:, 0]
-    x -= (u1 @ x) * u1
-    x /= np.linalg.norm(x)
-    return float(vals[0]), x
+    return float(vals[0]), vecs[:, 0]
 
 
-def spectral_gap(graph: SmallWorldGraph, tol=1e-6, max_iter=30_000) -> float:
-    """Spectral gap 1 - lambda_2 of the lazy kernel; always in (0, 1]."""
+def spectral_gap(graph: SmallWorldGraph, tol=1e-10, max_iter=30_000) -> float:
+    """Spectral gap 1 - lambda_2 of the lazy kernel; always in (0, 1].
+
+    lambda_2 comes from second_eigenpair; tol and max_iter are passed on.
+    """
     lam, _ = second_eigenpair(graph, tol=tol, max_iter=max_iter)
     return 1.0 - lam
 

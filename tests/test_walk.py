@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from swmix import (
+    ConvergenceError,
     ModelParams,
     coord_to_index,
     distance_to_stationarity,
@@ -24,6 +25,7 @@ from swmix import (
     torus_only_graph,
     tv_distance,
 )
+from swmix import walk
 
 
 def small_world(n=3, r=1.5, seed=7):
@@ -212,18 +214,55 @@ def test_spectral_gap_torus_closed_form():
 
 
 def test_second_eigenpair_matches_dense():
-    g = small_world(n=2, r=1.0, seed=12)
-    lam, vec = second_eigenpair(g)
-    kernel = oracles.dense_lazy_kernel(g)
-    pi = oracles.stationary_from_edges(g)
-    dense_gap = oracles.spectral_gap_dense(kernel, pi)
-    assert 1.0 - lam == pytest.approx(dense_gap, abs=1e-6)
-    # eigen residual of the symmetrized operator
-    root = np.sqrt(pi)
-    sym = root[:, None] * kernel / root[None, :]
-    resid = np.linalg.norm(sym @ vec - lam * vec)
-    assert resid < 1e-5
-    assert 0.0 < 1.0 - lam <= 1.0
+    # r = 4 splits lambda_2 from lambda_3 only by a few long-range edges;
+    # the pure torus has lambda_2 of multiplicity four.
+    graphs = [small_world(n=2, r=1.0, seed=12)]
+    graphs += [sample_graph(ModelParams(n=n, r=r, seed=seed))
+               for n, r, seed in ((1, 1.0, 3), (2, 2.0, 1), (3, 0.5, 8), (4, 4.0, 2), (5, 4.0, 5), (5, 1.0, 6))]
+    graphs += [torus_only_graph(3), torus_only_graph(5)]
+    for g in graphs:
+        lam, vec = second_eigenpair(g)
+        kernel = oracles.dense_lazy_kernel(g)
+        pi = oracles.stationary_from_edges(g)
+        dense_gap = oracles.spectral_gap_dense(kernel, pi)
+        assert 1.0 - lam == pytest.approx(dense_gap, abs=1e-6)
+        # eigen residual of the symmetrized operator
+        root = np.sqrt(pi)
+        sym = root[:, None] * kernel / root[None, :]
+        sym = (sym + sym.T) / 2.0
+        assert abs(lam - np.linalg.eigh(sym)[0][-2]) <= 1e-10, g.params
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(sym @ vec - lam * vec) <= 1e-9, g.params
+        assert 0.0 < 1.0 - lam <= 1.0
+
+
+def test_second_eigenpair_iteration_cap():
+    g = sample_graph(ModelParams(n=6, r=1.0, seed=3))
+    lam, _ = second_eigenpair(g)
+    with pytest.raises(ConvergenceError) as info:
+        second_eigenpair(g, max_iter=1)
+    err = info.value
+    assert err.iterations == 1
+    assert err.last_iterate.shape == (g.num_vertices,)
+    assert np.linalg.norm(err.last_iterate) == pytest.approx(1.0)
+    # Rayleigh quotient of a vector orthogonal to sqrt(pi): a lower bound
+    assert 0.0 <= err.last_value <= lam + 1e-12
+
+
+def test_mixing_time_step_cap(monkeypatch):
+    g = small_world(n=2, r=1.0, seed=9)
+    t_mix = mixing_time(g, starts="all").t_mix
+    monkeypatch.setattr(walk, "_MAX_STEPS", t_mix)
+    assert mixing_time(g, starts="all").t_mix == t_mix
+    cap = t_mix - 1
+    monkeypatch.setattr(walk, "_MAX_STEPS", cap)
+    with pytest.raises(ConvergenceError) as info:
+        mixing_time(g, starts="all")
+    err = info.value
+    assert err.iterations == cap
+    ts = [t for t, _ in err.last_iterate]
+    assert ts[0] == 0 and ts[-1] == cap and ts == sorted(ts)
+    assert err.last_value == err.last_iterate[-1][1] > 0.25
 
 
 def test_relaxation_sandwich():
