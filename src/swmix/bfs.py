@@ -5,8 +5,8 @@ with numpy-sized constants.  The exact diameter uses the fringe-refinement
 scheme: a double sweep picks a midpoint vertex, then vertices are processed
 by decreasing BFS level from that midpoint; once the best eccentricity found
 is at least twice the current level, no unprocessed pair can do better and
-the current best is the diameter.  This is exact and, on small-world graphs,
-needs far fewer single-source searches than the all-pairs scan.
+the current best is the diameter.  This is exact but prunes little: at r = 1
+and n = 20-80 the refinement still searches from 51-94% of the vertices.
 """
 
 from __future__ import annotations
@@ -62,41 +62,51 @@ def double_sweep(graph, start=0):
     return a, da, int(da.max())
 
 
-def eccentricities(graph, sources, batch_size: int = _ECC_BATCH) -> np.ndarray:
-    """Eccentricity of each source vertex, via batched multi-source BFS.
+def eccentricities(graph, sources) -> np.ndarray:
+    """Eccentricity of each source vertex, via bit-parallel multi-source BFS.
 
-    Runs the level-synchronous search for up to batch_size sources at once,
-    advancing every frontier with a single sparse-matrix product per level.
-    On graphs with many edges per level this is several times faster than
-    looping bfs_distances over the sources.
+    Up to _ECC_BATCH sources search together, one bit per source packed 64
+    to a uint64 word (the bit-parallel BFS of Akiba, Iwata & Yoshida, 2013).
+    Each level ORs every vertex's neighbours' frontier words, masks off the
+    bits already seen, and records the level as the eccentricity of every
+    source whose bit reached a new vertex.
     """
     src = np.asarray(sources, dtype=np.int64)
     if src.ndim != 1:
         raise ValueError("sources must be one-dimensional")
     out = np.zeros(src.size, dtype=np.int64)
-    if src.size == 0:
-        return out
-    # int8 accumulators are safe while row sums cannot wrap past 127
-    dtype = np.int8 if graph.degrees.max() <= 127 else np.float32
-    adj = graph.adjacency.astype(dtype)
-    num = graph.num_vertices
-    for lo in range(0, src.size, batch_size):
-        block = src[lo : lo + batch_size]
-        cols = np.arange(block.size)
-        visited = np.zeros((num, block.size), dtype=bool)
-        visited[block, cols] = True
-        frontier = np.zeros((num, block.size), dtype=dtype)
-        frontier[block, cols] = 1
+    # Relabel vertices by decreasing degree: the vertices with a j-th neighbour
+    # form a prefix, so each level is one dense gather-OR per neighbour slot.
+    indptr, indices = graph.indptr, graph.indices
+    deg = np.diff(indptr)
+    order = np.argsort(-deg)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    first = indptr[order]
+    columns = [rank[indices[first[: np.count_nonzero(deg > j)] + j]] for j in range(deg.max())]
+    for lo in range(0, src.size, _ECC_BATCH):
+        block = rank[src[lo : lo + _ECC_BATCH]]
+        bit = np.arange(block.size)
+        front = np.zeros((order.size, -(-block.size // 64)), dtype=np.uint64)
+        # .at, because duplicated sources share a (vertex, word) cell
+        np.bitwise_or.at(front, (block, bit >> 6), np.uint64(1) << (bit & 63).astype(np.uint64))
+        unseen = ~front
         level = 0
         while True:
-            new = (adj @ frontier > 0) & ~visited
-            grew = new.any(axis=0)
+            # every vertex has degree >= 4 from its torus edges, so slot 0 covers all
+            new = np.take(front, columns[0], axis=0)
+            for col in columns[1:]:
+                new[: col.size] |= np.take(front, col, axis=0)
+            new &= unseen
+            # reducing contiguous rows is several times faster than strided columns
+            grew = np.bitwise_or.reduce(np.ascontiguousarray(new.T), axis=1)
             if not grew.any():
                 break
             level += 1
-            out[lo + np.flatnonzero(grew)] = level
-            visited |= new
-            frontier = new.astype(dtype)
+            hit = np.unpackbits(grew.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+            out[lo + np.flatnonzero(hit[: block.size])] = level
+            unseen ^= new
+            front = new
     return out
 
 

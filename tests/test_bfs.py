@@ -1,0 +1,78 @@
+"""BFS kernels against networkx: eccentricities, exact diameter, distances."""
+
+import networkx as nx
+import numpy as np
+import pytest
+
+import oracles
+from swmix import (
+    ModelParams,
+    bfs_distances,
+    double_sweep,
+    exact_diameter,
+    sample_graph,
+    torus_only_graph,
+)
+from swmix.bfs import eccentricities
+
+
+def nx_graph(graph):
+    """networkx copy built from the torus moves and the long-range edge list."""
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.num_vertices))
+    g.add_edges_from(oracles.graph_edge_list(graph))
+    return g
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 257])
+def test_eccentricities_match_networkx(r, count):
+    # 63/64/65 straddle a uint64 word, 257 straddles a 256-source batch
+    rng = np.random.default_rng(count)
+    for n, seed in ((1, 3), (4, 5), (8, 7)):
+        g = sample_graph(ModelParams(n=n, r=r, seed=seed))
+        expect = nx.eccentricity(nx_graph(g))
+        sources = rng.integers(g.num_vertices, size=count)
+        got = eccentricities(g, sources)
+        assert got.dtype == np.int64
+        assert got.tolist() == [expect[int(v)] for v in sources]
+
+
+def test_eccentricities_unsorted_and_duplicated_sources():
+    g = sample_graph(ModelParams(n=6, r=1.0, seed=11))
+    expect = nx.eccentricity(nx_graph(g))
+    # duplicates both inside one word and across words and batches
+    sources = np.array([100, 3, 100, 168, 0, 3, 57] * 50)
+    got = eccentricities(g, sources)
+    assert got.tolist() == [expect[int(v)] for v in sources]
+    # a bare torus is vertex-transitive: every eccentricity is 2n
+    assert eccentricities(torus_only_graph(5), [120, 0, 0, 7]).tolist() == [10] * 4
+
+
+def test_eccentricities_empty_and_bad_shape():
+    g = torus_only_graph(3)
+    out = eccentricities(g, [])
+    assert out.shape == (0,) and out.dtype == np.int64
+    with pytest.raises(ValueError):
+        eccentricities(g, np.zeros((2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 3.0, 6.0])
+def test_exact_diameter_and_double_sweep_match_networkx(r):
+    for n, seed in ((6, 1), (8, 2), (10, 3)):
+        g = sample_graph(ModelParams(n=n, r=r, seed=seed))
+        expect = nx.diameter(nx_graph(g))
+        assert exact_diameter(g) == expect
+        far, dist, bound = double_sweep(g)
+        assert bound == int(dist.max()) <= expect
+        assert dist[far] == 0
+
+
+def test_bfs_distances_match_networkx():
+    for n, r, seed in ((6, 1.0, 4), (9, 2.5, 5)):
+        g = sample_graph(ModelParams(n=n, r=r, seed=seed))
+        ng = nx_graph(g)
+        for source in (0, g.num_vertices // 2, g.num_vertices - 1):
+            expect = nx.single_source_shortest_path_length(ng, source)
+            got = bfs_distances(g, source)
+            assert got.tolist() == [expect[v] for v in range(g.num_vertices)]
