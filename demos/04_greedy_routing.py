@@ -13,7 +13,7 @@ from swmix import SweepConfig, run_routing_sweep
 
 GRID = (32, 64, 128)
 
-print(f"median hops over 500 pairs, 3 seeds per cell")
+print("median hops over 500 pairs, 3 seeds per cell")
 print(f"{'n':>5} {'r=0':>8} {'r=2':>8}")
 cfg = SweepConfig(experiment="routing", n_values=GRID, r_values=(0.0, 2.0),
                   num_seeds=3, seed_base=0, pairs=500)

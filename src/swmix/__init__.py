@@ -8,156 +8,24 @@ edge and vertex expansion and conductance, and drives seeded, reproducible
 parameter sweeps over (n, r) grids from a CLI.
 """
 
+from . import bfs, errors, expansion, generate, harness, torus, walk
 from ._version import __version__
-from .errors import CapacityError, ConvergenceError, GraphFormatError
-from .torus import (
-    num_vertices,
-    coord_to_index,
-    index_to_coord,
-    torus_distance,
-    ring_size,
-    ring,
-    ring_offsets,
-    torus_neighbor_indices,
-    torus_edge_boundary,
-    torus_boundary_count,
-    mask_from_indices,
-    BoxPartition,
-    make_box_partition,
-    box_core,
-    box_core_dichotomy,
-)
-from .generate import (
-    ModelParams,
-    SmallWorldGraph,
-    long_range_normalizer,
-    edge_probability,
-    sample_graph,
-    sample_graph_naive,
-    torus_only_graph,
-    save_graph,
-    load_graph,
-)
-from .bfs import bfs_distances, double_sweep, exact_diameter
-from .walk import (
-    stationary,
-    lazy_kernel,
-    step_distribution,
-    tv_distance,
-    distance_to_stationarity,
-    MixingEstimate,
-    mixing_time,
-    heuristic_start_vertices,
-    second_eigenpair,
-    spectral_gap,
-    relaxation_bounds,
-    sample_trajectory,
-)
-from .expansion import (
-    CutReport,
-    cut_report,
-    edge_boundary,
-    vertex_boundary,
-    degree_sum,
-    conductance,
-    ExpansionVerdict,
-    is_expanding,
-    min_conductance_bruteforce,
-    sweep_cut,
-    ball_set,
-    count_connected_box_sets,
-    diameter,
-)
-from .harness import (
-    SweepConfig,
-    ExperimentRecord,
-    RoutingResult,
-    derive_seed,
-    config_digest,
-    run_mixing_sweep,
-    run_conductance_sweep,
-    run_diameter_sweep,
-    run_wq_experiment,
-    run_routing_sweep,
-    run_expansion_sweep,
-    run_sweep,
-    greedy_route,
-    emit,
-    load_records,
-    load_sweep_config,
-)
+from .errors import *  # noqa: F403
+from .torus import *  # noqa: F403
+from .generate import *  # noqa: F403
+from .bfs import *  # noqa: F403
+from .walk import *  # noqa: F403
+from .expansion import *  # noqa: F403
+from .harness import *  # noqa: F403
 
+# The public names are each submodule's own __all__, so the two never drift.
 __all__ = [
     "__version__",
-    "CapacityError",
-    "ConvergenceError",
-    "GraphFormatError",
-    "num_vertices",
-    "coord_to_index",
-    "index_to_coord",
-    "torus_distance",
-    "ring_size",
-    "ring",
-    "ring_offsets",
-    "torus_neighbor_indices",
-    "torus_edge_boundary",
-    "torus_boundary_count",
-    "mask_from_indices",
-    "BoxPartition",
-    "make_box_partition",
-    "box_core",
-    "box_core_dichotomy",
-    "ModelParams",
-    "SmallWorldGraph",
-    "long_range_normalizer",
-    "edge_probability",
-    "sample_graph",
-    "sample_graph_naive",
-    "torus_only_graph",
-    "save_graph",
-    "load_graph",
-    "bfs_distances",
-    "double_sweep",
-    "exact_diameter",
-    "stationary",
-    "lazy_kernel",
-    "step_distribution",
-    "tv_distance",
-    "distance_to_stationarity",
-    "MixingEstimate",
-    "mixing_time",
-    "heuristic_start_vertices",
-    "second_eigenpair",
-    "spectral_gap",
-    "relaxation_bounds",
-    "sample_trajectory",
-    "CutReport",
-    "cut_report",
-    "edge_boundary",
-    "vertex_boundary",
-    "degree_sum",
-    "conductance",
-    "ExpansionVerdict",
-    "is_expanding",
-    "min_conductance_bruteforce",
-    "sweep_cut",
-    "ball_set",
-    "count_connected_box_sets",
-    "diameter",
-    "SweepConfig",
-    "ExperimentRecord",
-    "RoutingResult",
-    "derive_seed",
-    "config_digest",
-    "run_mixing_sweep",
-    "run_conductance_sweep",
-    "run_diameter_sweep",
-    "run_wq_experiment",
-    "run_routing_sweep",
-    "run_expansion_sweep",
-    "run_sweep",
-    "greedy_route",
-    "emit",
-    "load_records",
-    "load_sweep_config",
+    *errors.__all__,
+    *torus.__all__,
+    *generate.__all__,
+    *bfs.__all__,
+    *walk.__all__,
+    *expansion.__all__,
+    *harness.__all__,
 ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["CapacityError", "ConvergenceError", "GraphFormatError"]
+
 
 class CapacityError(Exception):
     """An exact or exhaustive operation was asked to exceed its documented size cap."""

@@ -16,6 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from swmix.torus import index_to_coord, torus_distance
+
 
 def wrapped_distance(u, v, side: int) -> int:
     """Torus distance by scanning the nine shifted copies of v."""
@@ -182,6 +184,29 @@ def diameter_allpairs(num_vertices: int, edges) -> int:
     """Exact diameter from a BFS at every vertex."""
     nbrs = adjacency_lists(num_vertices, edges)
     return max(max(bfs_queue(s, nbrs)) for s in range(num_vertices))
+
+
+def greedy_routes(graph, pairs, hop_cap: int):
+    """(hops, delivered) of greedy routing for each (source, target) pair.
+
+    Neighbour lists are rebuilt from the edge list and sorted; every
+    neighbour is scored with swmix.torus.torus_distance on coordinates (one
+    N x N table, computed up front), and the first minimum wins, so ties go
+    to the smallest index.
+    """
+    N = graph.num_vertices
+    nbrs = [sorted(row) for row in adjacency_lists(N, graph_edge_list(graph))]
+    coords = np.column_stack(index_to_coord(np.arange(N), graph.n))
+    dist = torus_distance(coords[:, None, :], coords[None, :, :], graph.n).tolist()
+    out = []
+    for source, target in pairs:
+        cur, hops = source, 0
+        while cur != target and hops < hop_cap:
+            scores = [dist[w][target] for w in nbrs[cur]]
+            cur = nbrs[cur][scores.index(min(scores))]
+            hops += 1
+        out.append((hops, cur == target))
+    return out
 
 
 def count_box_sets_brute(num_boxes: int, box_edges, max_size: int):

@@ -1,12 +1,15 @@
 import hashlib
 import math
+import os
 import statistics
 import subprocess
 import sys
 
 import numpy as np
+import oracles
 import pytest
 
+import swmix
 from swmix import (
     CapacityError,
     ExperimentRecord,
@@ -307,6 +310,39 @@ def test_greedy_route_hop_cap():
     assert capped.hops == 1 and not capped.delivered
 
 
+def test_greedy_route_rejects_non_integral_vertices():
+    g = torus_only_graph(4)
+    with pytest.raises(TypeError):
+        greedy_route(g, 3.7, 5)
+    with pytest.raises(TypeError):
+        greedy_route(g, 3, 5.0)
+    want = greedy_route(g, 3, 5)
+    assert greedy_route(g, np.int64(3), np.uint16(5)) == want
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 4.0])
+def test_greedy_route_matches_oracle_all_pairs(n, r):
+    g = sample_graph(ModelParams(n=n, r=r, seed=77 + n))
+    assert len(g.long_range_edges) > 0
+    N = g.num_vertices
+    pairs = [(s, t) for s in range(N) for t in range(N)]
+    want = oracles.greedy_routes(g, pairs, 10 * N)
+    got = [greedy_route(g, s, t) for s, t in pairs]
+    assert [(res.hops, res.delivered) for res in got] == want
+    assert all(delivered for _, delivered in want)
+
+
+def test_greedy_route_capped_matches_oracle():
+    g = sample_graph(ModelParams(n=6, r=1.0, seed=5))
+    N = g.num_vertices
+    pairs = [(s, t) for s in range(0, N, 3) for t in range(N)]
+    want = oracles.greedy_routes(g, pairs, 2)
+    got = [greedy_route(g, s, t, hop_cap=2) for s, t in pairs]
+    assert [(res.hops, res.delivered) for res in got] == want
+    assert any(hops == 2 and not delivered for hops, delivered in want)
+
+
 def test_routing_sweep_records():
     cfg = SweepConfig(experiment="routing", n_values=(8,), r_values=(1.0,), num_seeds=3, pairs=50)
     records = run_routing_sweep(cfg)
@@ -496,3 +532,25 @@ def test_cli_module_entry():
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout
+
+
+def test_package_all_is_built_from_submodules():
+    assert len(swmix.__all__) == len(set(swmix.__all__))
+    for module in (swmix.errors, swmix.torus, swmix.generate, swmix.bfs, swmix.walk, swmix.expansion, swmix.harness):
+        for name in module.__all__:
+            assert name in swmix.__all__
+            assert getattr(swmix, name) is getattr(module, name)
+    for name in swmix.__all__:
+        assert hasattr(swmix, name)
+
+
+def test_greedy_routing_demo_runs():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "demos", "04_greedy_routing.py")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "growth over a 4x range" in proc.stdout
