@@ -5,7 +5,8 @@ Single-cell experiments (one n, one r) have their own subcommands; full
 file extension: ``.json`` emits JSON, anything else CSV.
 
 Exit codes: 0 success, 2 usage or argument error, 3 a documented capacity
-cap was exceeded, 4 I/O error.
+cap was exceeded, 4 I/O error, 5 an iterative solver (the mixing search or
+the eigen solve) hit its iteration cap.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ import sys
 
 from . import harness
 from ._version import __version__
-from .errors import CapacityError
+from .errors import CapacityError, ConvergenceError
 from .generate import ModelParams, sample_graph, save_graph
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_IO = 4
+EXIT_CONVERGENCE = 5
 
 
 def _add_cell_args(parser: argparse.ArgumentParser) -> None:
@@ -132,6 +134,9 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"swmix: capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except ConvergenceError as exc:
+        print(f"swmix: convergence error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
     except OSError as exc:
         print(f"swmix: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

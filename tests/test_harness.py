@@ -37,6 +37,7 @@ from swmix import (
     torus_distance,
     torus_only_graph,
 )
+from swmix import walk
 from swmix.cli import main
 
 
@@ -526,6 +527,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", str(no_out)]) == 2
 
 
+def test_cli_convergence_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(walk, "_MAX_STEPS", 1)
+    out = tmp_path / "x.csv"
+    assert main(["mix", "--n", "3", "--r", "1.0", "--seeds", "1", "--workers", "1", "--out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("swmix: convergence error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_module_entry():
     proc = subprocess.run(
         [sys.executable, "-m", "swmix.cli", "--version"], capture_output=True, text=True,
@@ -544,13 +554,24 @@ def test_package_all_is_built_from_submodules():
         assert hasattr(swmix, name)
 
 
-def test_greedy_routing_demo_runs():
+def run_demo(name):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "demos", "04_greedy_routing.py")],
+        [sys.executable, os.path.join(root, "demos", name)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "growth over a 4x range" in proc.stdout
+    return proc.stdout
+
+
+def test_greedy_routing_demo_runs():
+    assert "growth over a 4x range" in run_demo("04_greedy_routing.py")
+
+
+def test_mixing_demo_runs():
+    # runs mixing_time end to end through run_mixing_sweep; r = 4 cells reach t_mix ~ 250
+    out = run_demo("02_mixing_phase_transition.py")
+    assert "\nr = 4.0: t_mix (roughly x4 per doubling of n when r > 2)\n" in out
+    assert out.count("median t_mix") == 12

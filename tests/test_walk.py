@@ -159,13 +159,54 @@ def test_mixing_time_exact_torus():
     assert est.t_mix == oracles.mixing_time_by_powering(kernel, pi)
 
 
+def stride_graphs():
+    # t_mix 43, 57, 38 and 37: the search reaches its fixed-stride probes.
+    return [torus_only_graph(6), torus_only_graph(7),
+            sample_graph(ModelParams(n=6, r=4.0, seed=1)), sample_graph(ModelParams(n=6, r=4.0, seed=3))]
+
+
 def test_mixing_time_matches_powering_oracle():
-    for n, r, seed in ((1, 0.5, 1), (2, 1.0, 2), (2, 3.0, 3), (3, 2.0, 4)):
-        g = sample_graph(ModelParams(n=n, r=r, seed=seed))
+    graphs = [sample_graph(ModelParams(n=n, r=r, seed=seed))
+              for n, r, seed in ((1, 0.5, 1), (2, 1.0, 2), (2, 3.0, 3), (3, 2.0, 4))]
+    t_mixes = []
+    for g in graphs + stride_graphs():
         est = mixing_time(g, starts="all")
         kernel = oracles.dense_lazy_kernel(g)
         pi = oracles.stationary_from_edges(g)
-        assert est.t_mix == oracles.mixing_time_by_powering(kernel, pi), (n, r, seed)
+        assert est.t_mix == oracles.mixing_time_by_powering(kernel, pi), g.params
+        t_mixes.append(est.t_mix)
+    assert max(t_mixes) > 3 * walk._PROBE_STRIDE
+
+
+def stepwise_worst_tv(g, t_max):
+    # Worst TV over all starts at t = 0..t_max, evolving one step at a time.
+    kernel_t = walk._kernel_transpose(g)
+    pi = stationary(g)[:, None]
+    Y = np.eye(g.num_vertices)
+    worst = [0.5 * float(np.abs(Y - pi).sum(axis=0).max())]
+    for t in range(t_max):
+        Y = walk._evolve(kernel_t, Y, t, t + 1)
+        worst.append(0.5 * float(np.abs(Y - pi).sum(axis=0).max()))
+    return worst
+
+
+def test_mixing_curve_matches_stepwise_evolution():
+    stride = walk._PROBE_STRIDE
+    for g in [small_world(n=2, r=1.0, seed=9)] + stride_graphs():
+        est = mixing_time(g, starts="all")
+        ts = [t for t, _ in est.curve]
+        worst = stepwise_worst_tv(g, ts[-1])
+        for t, tv in est.curve:
+            assert tv == worst[t], (g.params, t)
+        assert est.t_mix == next(t for t, tv in enumerate(worst) if tv <= est.epsilon)
+        # probes 1, 2, 4, .., stride, 2 stride, .. up to the first at or past
+        # t_mix, then bisection strictly inside the last stride
+        probes = [1]
+        while probes[-1] < est.t_mix:
+            probes.append(probes[-1] + min(probes[-1], stride))
+        assert set(probes) <= set(ts), g.params
+        assert ts[-1] < est.t_mix + stride
+        assert len(ts) <= len(probes) + 1 + math.ceil(math.log2(stride))
 
 
 def test_mixing_time_threshold_is_tight():
@@ -250,19 +291,47 @@ def test_second_eigenpair_iteration_cap():
 
 
 def test_mixing_time_step_cap(monkeypatch):
-    g = small_world(n=2, r=1.0, seed=9)
-    t_mix = mixing_time(g, starts="all").t_mix
-    monkeypatch.setattr(walk, "_MAX_STEPS", t_mix)
-    assert mixing_time(g, starts="all").t_mix == t_mix
-    cap = t_mix - 1
-    monkeypatch.setattr(walk, "_MAX_STEPS", cap)
-    with pytest.raises(ConvergenceError) as info:
-        mixing_time(g, starts="all")
-    err = info.value
-    assert err.iterations == cap
-    ts = [t for t, _ in err.last_iterate]
-    assert ts[0] == 0 and ts[-1] == cap and ts == sorted(ts)
-    assert err.last_value == err.last_iterate[-1][1] > 0.25
+    graphs = (small_world(n=2, r=1.0, seed=9), torus_only_graph(6))
+    t_mixes = [mixing_time(g, starts="all").t_mix for g in graphs]
+    assert t_mixes[1] == 43  # its caps 43 and 42 lie between the stride probes 32 and 48
+    for g, t_mix in zip(graphs, t_mixes):
+        monkeypatch.setattr(walk, "_MAX_STEPS", t_mix)
+        est = mixing_time(g, starts="all")
+        assert est.t_mix == t_mix and max(t for t, _ in est.curve) == t_mix
+        cap = t_mix - 1
+        monkeypatch.setattr(walk, "_MAX_STEPS", cap)
+        with pytest.raises(ConvergenceError) as info:
+            mixing_time(g, starts="all")
+        err = info.value
+        assert err.iterations == cap
+        ts = [t for t, _ in err.last_iterate]
+        assert ts[0] == 0 and ts[-1] == cap and ts == sorted(ts)
+        assert err.last_value == err.last_iterate[-1][1] > 0.25
+    assert ts == [0, 1, 2, 4, 8, 16, 32, 42]
+
+
+def test_walk_inputs_must_be_integers():
+    g = small_world()
+    with pytest.raises(TypeError):
+        distance_to_stationarity(g, 3, 2.7)
+    with pytest.raises(TypeError):
+        distance_to_stationarity(g, 3.2, 2)
+    with pytest.raises(TypeError):
+        mixing_time(g, starts=[0.9, 5.5])
+    with pytest.raises(TypeError):
+        mixing_time(g, starts=np.array([0.0, 5.0]))
+    with pytest.raises(ValueError):
+        mixing_time(g, starts=[])
+    assert distance_to_stationarity(g, np.int64(3), np.int32(2)) == distance_to_stationarity(g, 3, 2)
+    with pytest.raises(TypeError):
+        sample_trajectory(g, 3.2, 5, np.random.default_rng(0))
+    with pytest.raises(TypeError):
+        sample_trajectory(g, 3, 5.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(sample_trajectory(g, np.int64(3), np.int32(5), np.random.default_rng(0)),
+                                  sample_trajectory(g, 3, 5, np.random.default_rng(0)))
+    est = mixing_time(g, starts=np.array([5, 0], dtype=np.uint16))
+    assert est.start_vertices.tolist() == [0, 5]
+    assert est.t_mix == mixing_time(g, starts=[0, 5]).t_mix
 
 
 def test_relaxation_sandwich():
