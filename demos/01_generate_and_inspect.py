@@ -6,6 +6,9 @@ torus distance d >= 2 with probability d^-r / Z, where Z normalizes the
 expected number of long-range edges per vertex to one.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from swmix import (
@@ -45,10 +48,11 @@ for d in range(2, 12):
     expected = graph.num_vertices * ring_size(d, params.n) / 2 * p
     print(f"  d={d:2d}: {int((dist == d).sum()):4d}  vs {expected:7.1f}")
 
-path = "/tmp/swmix_demo_graph.txt"
-save_graph(graph, path)
-again = load_graph(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "graph.swg")
+    save_graph(graph, path)
+    again = load_graph(path)
 assert again.params == params and np.array_equal(again.long_range_edges, e)
-print(f"\nsaved to {path} and loaded back identically")
+print("\nsaved to a temporary file and loaded back identically")
 print(f"normalizer grows like n^(2-r) for r<2; Z(40,1)/Z(20,1) = "
       f"{long_range_normalizer(40, 1.0) / long_range_normalizer(20, 1.0):.3f} (doubling ~ 2)")

@@ -72,10 +72,7 @@ def stationary(graph: SmallWorldGraph) -> np.ndarray:
 
 def lazy_kernel(graph: SmallWorldGraph) -> scipy.sparse.csr_matrix:
     """Row-stochastic lazy transition matrix P = I/2 + D^(-1) A / 2."""
-    n = graph.num_vertices
-    dinv = 1.0 / graph.degrees
-    walk = scipy.sparse.diags(dinv) @ graph.adjacency
-    return (0.5 * scipy.sparse.eye(n, format="csr") + 0.5 * walk).tocsr()
+    return _kernel_transpose(graph).T.tocsr()
 
 
 def _kernel_transpose(graph: SmallWorldGraph) -> scipy.sparse.csr_matrix:

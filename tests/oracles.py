@@ -16,7 +16,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from swmix.torus import index_to_coord, torus_distance
+from swmix.generate import SmallWorldGraph, long_range_normalizer
+from swmix.torus import (
+    index_to_coord,
+    num_vertices,
+    ring_offsets,
+    ring_size,
+    torus_distance,
+    torus_neighbor_indices,
+)
 
 
 def wrapped_distance(u, v, side: int) -> int:
@@ -263,3 +271,92 @@ def spectral_gap_dense(kernel, pi) -> float:
     sym = root[:, None] * kernel / root[None, :]
     vals = np.linalg.eigvalsh((sym + sym.T) / 2.0)
     return float(1.0 - vals[-2])
+
+
+def sample_graph_setloop(params):
+    """The class-by-class sampler with a per-key set loop.
+
+    Same streams, binomial counts and batch sizes as swmix.generate, but each
+    class keeps its distinct keys by walking the batch one key at a time
+    through a Python set, and the CSR comes from :func:`assemble_lexsort`.
+    The library's batched dedupe and one-key sort must reproduce it array
+    for array.
+    """
+    n, r = params.n, params.r
+    N = num_vertices(n)
+    side = 2 * n + 1
+    z = long_range_normalizer(n, r)
+    if z == 0.0:
+        raise ValueError(f"normalizer underflowed to zero for r={r}; exponent too large")
+
+    pair_keys = []
+    for d in range(2, 2 * n + 1):
+        rs = ring_size(d, n)
+        num_pairs = N * rs // 2
+        p = float(d) ** -r / z
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=params.seed, spawn_key=(d,)))
+        )
+        k = int(rng.binomial(num_pairs, p))
+        if k == 0:
+            continue
+        offsets = ring_offsets(d, n)
+        chosen = set()
+        while len(chosen) < k:
+            batch = max(16, int(1.2 * (k - len(chosen))))
+            u = rng.integers(0, N, size=batch)
+            oi = rng.integers(0, rs, size=batch)
+            gx, gy = np.divmod(u, side)
+            wx = (gx + offsets[oi, 0]) % side
+            wy = (gy + offsets[oi, 1]) % side
+            w = wx * side + wy
+            lo = np.minimum(u, w)
+            hi = np.maximum(u, w)
+            keys = lo * N + hi
+            for key in keys:
+                if key not in chosen:
+                    chosen.add(int(key))
+                    if len(chosen) == k:
+                        break
+        pair_keys.extend(chosen)
+
+    pair_keys = np.array(sorted(pair_keys), dtype=np.int64)
+    long_pairs = np.column_stack([pair_keys // N, pair_keys % N]) if pair_keys.size else np.empty((0, 2), np.int64)
+    return assemble_lexsort(params, long_pairs, z)
+
+
+def assemble_lexsort(params, long_pairs, normalizer):
+    """CSR graph of the torus plus long_pairs, ordered by two-key lexsorts."""
+    n = params.n
+    N = num_vertices(n)
+    nbr = torus_neighbor_indices(n)
+    rows = [np.repeat(np.arange(N, dtype=np.int64), 4), ]
+    cols = [nbr.reshape(-1).astype(np.int64)]
+    long_pairs = np.asarray(long_pairs, dtype=np.int64).reshape(-1, 2)
+    if long_pairs.size:
+        long_pairs = np.sort(long_pairs, axis=1)
+        order = np.lexsort((long_pairs[:, 1], long_pairs[:, 0]))
+        long_pairs = long_pairs[order]
+        rows.append(long_pairs[:, 0])
+        cols.append(long_pairs[:, 1])
+        rows.append(long_pairs[:, 1])
+        cols.append(long_pairs[:, 0])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    indices = cols[order]
+    counts = np.bincount(rows, minlength=N)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    degrees = np.diff(indptr)
+    for arr in (indices, indptr, degrees, long_pairs):
+        arr.setflags(write=False)
+    return SmallWorldGraph(
+        params=params,
+        num_vertices=N,
+        indptr=indptr,
+        indices=indices,
+        degrees=degrees,
+        edge_count=indices.size // 2,
+        long_range_edges=long_pairs,
+        normalizer=normalizer,
+    )

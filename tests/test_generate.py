@@ -22,6 +22,7 @@ from swmix import (
     torus_distance,
     torus_only_graph,
 )
+from swmix.generate import _assemble
 
 
 def test_params_validation():
@@ -111,6 +112,49 @@ def test_sampler_is_deterministic():
     assert np.array_equal(g1.long_range_edges, g2.long_range_edges)
     g3 = sample_graph(ModelParams(n=7, r=1.5, seed=124))
     assert not np.array_equal(g1.long_range_edges, g3.long_range_edges)
+
+
+def _assert_same_graph(g, ref):
+    for name in ("indptr", "indices", "degrees", "long_range_edges"):
+        a, b = getattr(g, name), getattr(ref, name)
+        assert np.array_equal(a, b), name
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.flags.writeable == b.flags.writeable, name
+    assert g.params == ref.params
+    assert g.num_vertices == ref.num_vertices
+    assert g.edge_count == ref.edge_count
+    assert g.normalizer == ref.normalizer
+
+
+def test_sampler_matches_setloop_oracle():
+    # r = 8 and 30 leave many distance classes with k = 0; n = 1 has one class
+    for n in (1, 2, 3, 5, 8, 13, 24):
+        for r in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0):
+            for seed in (0, 1, 2**64 - 1):
+                params = ModelParams(n=n, r=r, seed=seed)
+                _assert_same_graph(sample_graph(params), oracles.sample_graph_setloop(params))
+
+
+def test_sampler_normalizer_underflow():
+    params = ModelParams(n=3, r=2000.0, seed=0)
+    for sampler in (sample_graph, oracles.sample_graph_setloop):
+        with pytest.raises(ValueError, match="underflowed"):
+            sampler(params)
+
+
+def test_assemble_ignores_pair_order_and_orientation():
+    # load_graph and the naive sampler hand over pairs in any order and orientation
+    g = sample_graph(ModelParams(n=6, r=1.0, seed=5))
+    pairs = np.array(g.long_range_edges)
+    shuffled = pairs[np.random.default_rng(0).permutation(len(pairs))]
+    for variant in (pairs[::-1], pairs[:, ::-1], shuffled, shuffled[:, ::-1]):
+        _assert_same_graph(_assemble(g.params, variant.copy(), g.normalizer), g)
+    naive = sample_graph_naive(ModelParams(n=4, r=1.0, seed=9))
+    swapped = np.array(naive.long_range_edges)[::-1, ::-1].copy()
+    _assert_same_graph(_assemble(naive.params, swapped, naive.normalizer),
+                       oracles.assemble_lexsort(naive.params, swapped, naive.normalizer))
+    bare = torus_only_graph(3)
+    _assert_same_graph(bare, oracles.assemble_lexsort(bare.params, np.empty((0, 2), np.int64), 0.0))
 
 
 def test_sampler_rejects_infinite_exponent():

@@ -566,6 +566,13 @@ def run_demo(name):
     return proc.stdout
 
 
+def test_generate_demo_runs():
+    # the edge line pins the sampled graph of (n=20, r=2, seed=7) to its known counts
+    out = run_demo("01_generate_and_inspect.py")
+    assert "\nedges             4228 (866 long-range)\n" in out
+    assert "\nsaved to a temporary file and loaded back identically\n" in out
+
+
 def test_greedy_routing_demo_runs():
     assert "growth over a 4x range" in run_demo("04_greedy_routing.py")
 
