@@ -52,6 +52,9 @@ BRUTE_ALL_SUBSETS_MAX_VERTICES = 25
 BRUTE_CONNECTED_MAX_VERTICES = 400
 BOX_GRAPH_MAX_BOXES = 64
 BOX_SET_MAX_SIZE = 4
+# At n = 157 (N = 99,225), one seed each, exact_diameter takes 8.8 s at r = 1,
+# 6.1 s at r = 4 and 357 s on the bare torus (2-vCPU Xeon, one BLAS thread),
+# where every eccentricity equals the diameter and half the vertices are searched.
 DIAMETER_MAX_VERTICES = 100_000
 
 

@@ -13,6 +13,7 @@ from swmix import (
     sample_graph,
     torus_only_graph,
 )
+from swmix import bfs
 from swmix.bfs import eccentricities
 
 
@@ -66,6 +67,41 @@ def test_exact_diameter_and_double_sweep_match_networkx(r):
         far, dist, bound = double_sweep(g)
         assert bound == int(dist.max()) <= expect
         assert dist[far] == 0
+
+
+@pytest.mark.parametrize(
+    "n, r, seed",
+    [(n, r, seed) for n in (1, 2, 3, 5, 8, 12, 16, 20) for r in (0, 0.5, 1.0, 2.0, 4.0, 8.0) for seed in range(3)]
+    # settling ecc(s) + d(s, v) <= lb + 1 instead of <= lb returns D - 1 on these
+    + [(3, 6.0, 3), (4, 6.0, 8), (5, 2.0, 6), (8, 2.5, 7)],
+)
+def test_exact_diameter_matches_all_eccentricities(n, r, seed):
+    # the pruned search against the largest eccentricity over every source
+    g = sample_graph(ModelParams(n=n, r=r, seed=seed))
+    assert exact_diameter(g) == int(eccentricities(g, np.arange(g.num_vertices)).max())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 12])
+def test_exact_diameter_bare_torus_matches_all_eccentricities(n):
+    # every eccentricity is 2n, so no source settles any vertex but itself
+    g = torus_only_graph(n)
+    assert exact_diameter(g) == int(eccentricities(g, np.arange(g.num_vertices)).max()) == 2 * n
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_diameter_prunes_sources(seed, monkeypatch):
+    # the fringe order alone searches from 51-75% of these graphs' vertices
+    g = sample_graph(ModelParams(n=24, r=1.0, seed=seed))
+    expect = int(eccentricities(g, np.arange(g.num_vertices)).max())
+    counted = []
+
+    def counting(graph, sources):
+        counted.append(len(sources))
+        return eccentricities(graph, sources)
+
+    monkeypatch.setattr(bfs, "eccentricities", counting)
+    assert exact_diameter(g) == expect
+    assert sum(counted) <= 0.4 * g.num_vertices
 
 
 def test_bfs_distances_match_networkx():

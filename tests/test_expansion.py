@@ -384,6 +384,14 @@ def test_diameter_pure_torus():
         assert diameter(torus_only_graph(n), exact=True) == 2 * n
 
 
+def test_diameter_capacity():
+    g = torus_only_graph(159)  # N = 101,761 > DIAMETER_MAX_VERTICES
+    with pytest.raises(CapacityError):
+        diameter(g)
+    with pytest.raises(CapacityError):
+        diameter(g, exact=False)
+
+
 def test_diameter_lower_bound_mode():
     for seed in (1, 2, 3):
         g = small_world(n=5, r=1.0, seed=seed)

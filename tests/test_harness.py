@@ -573,6 +573,11 @@ def test_generate_demo_runs():
     assert "\nsaved to a temporary file and loaded back identically\n" in out
 
 
+def test_conductance_demo_runs():
+    out = run_demo("03_conductance_balls.py")
+    assert "\nsweep always finds a cut at least as good as the ball\n" in out
+
+
 def test_greedy_routing_demo_runs():
     assert "growth over a 4x range" in run_demo("04_greedy_routing.py")
 
@@ -582,3 +587,8 @@ def test_mixing_demo_runs():
     out = run_demo("02_mixing_phase_transition.py")
     assert "\nr = 4.0: t_mix (roughly x4 per doubling of n when r > 2)\n" in out
     assert out.count("median t_mix") == 12
+
+
+def test_box_partition_demo_runs():
+    out = run_demo("05_box_partitions.py")
+    assert "\ndichotomy holds on 2000/2000 random sets (it is a theorem, so always)\n" in out
