@@ -1,14 +1,20 @@
 """Breadth-first search utilities: distances, eccentricities, exact diameter.
 
 BFS is level-synchronous over the CSR arrays, so each call costs O(N + |E|)
-with numpy-sized constants.  The exact diameter combines the iFUB fringe
-order (Crescenzi et al., TCS 2013) with the eccentricity bounding rule of
-Takes & Kosters (2011): a double sweep picks a midpoint vertex, vertices are
-taken by decreasing distance from it in batches for the bit-parallel kernel,
-and a vertex is skipped once a processed source proves its eccentricity is at
-most the best found.  The search stops when no vertex farther than half that
-best from the midpoint is left unproven.  At r = 1 and n = 24-48 it searches
-from 17-40% of the vertices.
+with numpy-sized constants.  The multi-source kernels (eccentricities and
+the settled-vertex propagation) work in the graph's degree-ordered
+neighbour-slot layout, `SmallWorldGraph.neighbour_slots`, which is built once
+per graph and cached on it: each BFS level or propagation round is one dense
+gather per neighbour slot.
+
+The exact diameter combines the iFUB fringe order (Crescenzi et al., TCS
+2013) with the eccentricity bounding rule of Takes & Kosters (2011): a double
+sweep picks a midpoint vertex, vertices are taken by decreasing distance from
+it in batches for the bit-parallel kernel, and a vertex is skipped once a
+processed source proves its eccentricity is at most the best found.  The
+search stops when no vertex farther than half that best from the midpoint is
+left unproven.  At r = 1 and n = 24-48 it searches from 17-40% of the
+vertices.
 """
 
 from __future__ import annotations
@@ -45,9 +51,9 @@ def bfs_distances(graph, source) -> np.ndarray:
         nb = nb[dist[nb] < 0]
         if nb.size == 0:
             break
-        nb = np.unique(nb)
         dist[nb] = level
-        frontier = nb
+        # a scan of dist is cheaper than sorting the repeated neighbours away
+        frontier = np.flatnonzero(dist == level)
     return dist
 
 
@@ -77,19 +83,12 @@ def eccentricities(graph, sources) -> np.ndarray:
     if src.ndim != 1:
         raise ValueError("sources must be one-dimensional")
     out = np.zeros(src.size, dtype=np.int64)
-    # Relabel vertices by decreasing degree: the vertices with a j-th neighbour
-    # form a prefix, so each level is one dense gather-OR per neighbour slot.
-    indptr, indices = graph.indptr, graph.indices
-    deg = np.diff(indptr)
-    order = np.argsort(-deg)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    first = indptr[order]
-    columns = [rank[indices[first[: np.count_nonzero(deg > j)] + j]] for j in range(deg.max())]
+    # in rank space each level is one dense gather-OR per neighbour slot
+    _, rank, columns = graph.neighbour_slots
     for lo in range(0, src.size, _ECC_BATCH):
         block = rank[src[lo : lo + _ECC_BATCH]]
         bit = np.arange(block.size)
-        front = np.zeros((order.size, -(-block.size // 64)), dtype=np.uint64)
+        front = np.zeros((graph.num_vertices, -(-block.size // 64)), dtype=np.uint64)
         # .at, because duplicated sources share a (vertex, word) cell
         np.bitwise_or.at(front, (block, bit >> 6), np.uint64(1) << (bit & 63).astype(np.uint64))
         unseen = ~front
@@ -115,18 +114,23 @@ def eccentricities(graph, sources) -> np.ndarray:
 def _settled(graph, sources, ecc, lb) -> np.ndarray:
     """Mask of vertices v with ecc(s) + d(s, v) <= lb for some processed source s.
 
-    One multi-source propagation of the budget lb - ecc(s): each round a
-    vertex takes the largest neighbour budget less one.  A vertex is settled
-    while its budget is non-negative, so budget.max() rounds reach them all.
+    One multi-source propagation of the budget lb - ecc(s), in the rank
+    space of the graph's neighbour slots: each round a vertex takes the
+    largest neighbour budget less one, gathered slot by slot.  A vertex is
+    settled while its budget is non-negative, so budget.max() rounds reach
+    them all.
     """
+    _, rank, columns = graph.neighbour_slots
     budget = np.full(graph.num_vertices, -1, dtype=np.int64)
-    # .at, because the double-sweep sources a, b and m may coincide
-    np.maximum.at(budget, sources, lb - ecc)
-    starts = graph.indptr[:-1]
+    # a repeated source (a, b and m may coincide) repeats its eccentricity too
+    budget[rank[sources]] = lb - ecc
     for _ in range(int(budget.max())):
-        # every vertex has degree >= 4 from its torus edges, so no row is empty
-        budget = np.maximum(budget, np.maximum.reduceat(budget[graph.indices], starts) - 1)
-    return budget >= 0
+        # every vertex has degree >= 4 from its torus edges, so slot 0 covers all
+        best = budget[columns[0]]
+        for col in columns[1:]:
+            np.maximum(best[: col.size], budget[col], out=best[: col.size])
+        budget = np.maximum(budget, best - 1)
+    return budget[rank] >= 0
 
 
 def exact_diameter(graph) -> int:

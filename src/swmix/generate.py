@@ -49,8 +49,8 @@ import scipy.sparse
 from .errors import CapacityError, GraphFormatError
 from .torus import (
     num_vertices,
-    ring_offsets,
     ring_size,
+    ring_table,
     torus_neighbor_indices,
 )
 
@@ -67,10 +67,12 @@ __all__ = [
 ]
 
 # Quadratic reference sampler refuses graphs above this many vertices.  Its
-# cost is memory: at n = 24 (N = 2401, the largest n under the cap) one call
-# raises peak RSS by about 250 MB (about 43 bytes per vertex pair) and takes
-# 0.26-0.41 s (2-vCPU Xeon VM, numpy 2.4).
+# cost is time, quadratic in N: at n = 24 (N = 2401, the largest n under the
+# cap) one call takes 0.12-0.14 s and raises peak RSS by about 3 MB, because
+# it holds only _NAIVE_BLOCK_ROWS rows of the pair triangle at once (2-vCPU
+# Xeon VM, numpy 2.4).
 NAIVE_SAMPLER_MAX_VERTICES = 2500
+_NAIVE_BLOCK_ROWS = 16
 
 GRAPH_FILE_MAGIC = "swg"
 
@@ -174,6 +176,26 @@ class SmallWorldGraph:
         )
         return mat
 
+    @cached_property
+    def neighbour_slots(self) -> tuple:
+        """Degree-ordered neighbour-slot layout shared by the BFS kernels.
+
+        Returns (order, rank, columns): order lists the vertices by
+        decreasing degree and rank is its inverse permutation.  In rank
+        space the vertices with a j-th neighbour form a prefix, and
+        columns[j] holds the rank of the j-th neighbour of each of them, so
+        one dense gather per slot visits every CSR entry exactly once.
+        """
+        deg = np.diff(self.indptr)
+        order = np.argsort(-deg)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        first = self.indptr[order]
+        columns = tuple(rank[self.indices[first[: np.count_nonzero(deg > j)] + j]] for j in range(deg.max()))
+        for arr in (order, rank, *columns):
+            arr.setflags(write=False)
+        return order, rank, columns
+
 
 def _class_rng(seed: int, key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
@@ -228,9 +250,9 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
         [int(rng.binomial(N * rs // 2, float(d) ** -r / z)) for rng, rs, d in zip(rngs, sizes, dists)],
         dtype=np.int64,
     )
-    # Ring offsets of all classes in one table; class c starts at row base[c].
-    offsets = np.concatenate([ring_offsets(d, n) for d in dists])
-    base = np.cumsum([0] + sizes[:-1])
+    # class c is ring c + 2, which starts at row base[c] of the ring table
+    offsets, starts = ring_table(n)
+    base = starts[2:-1]
     chosen = [np.empty(0, np.int64)]
     active = np.flatnonzero(need)
     while active.size:
@@ -295,17 +317,22 @@ def sample_graph_naive(params: ModelParams) -> SmallWorldGraph:
     side = 2 * n + 1
     z = long_range_normalizer(n, r)
     gx, gy = np.divmod(np.arange(N), side)
-    dx = np.abs(gx[:, None] - gx[None, :])
-    dy = np.abs(gy[:, None] - gy[None, :])
-    dist = np.minimum(dx, side - dx) + np.minimum(dy, side - dy)
-    iu, iv = np.triu_indices(N, k=1)
-    d = dist[iu, iv]
-    eligible = d >= 2
-    probs = d[eligible].astype(np.float64) ** -r / z
     rng = _class_rng(params.seed, 1)
-    accept = rng.random(probs.size) < probs
-    long_pairs = np.column_stack([iu[eligible][accept], iv[eligible][accept]])
-    return _assemble(params, long_pairs, z)
+    long_pairs = [np.empty((0, 2), np.int64)]
+    # The upper triangle goes in blocks of rows, in row-major order.  Each
+    # rng.random call continues the same stream, so every eligible pair meets
+    # the same uniform as in one draw over the whole triangle.
+    for lo in range(0, N, _NAIVE_BLOCK_ROWS):
+        u = np.arange(lo, min(lo + _NAIVE_BLOCK_ROWS, N))
+        v = np.arange(lo + 1, N)
+        dx = np.abs(gx[u, None] - gx[None, v])
+        dy = np.abs(gy[u, None] - gy[None, v])
+        dist = np.minimum(dx, side - dx) + np.minimum(dy, side - dy)
+        iu, iv = np.nonzero((v[None, :] > u[:, None]) & (dist >= 2))
+        probs = dist[iu, iv].astype(np.float64) ** -r / z
+        accept = rng.random(probs.size) < probs
+        long_pairs.append(np.column_stack([u[iu[accept]], v[iv[accept]]]))
+    return _assemble(params, np.concatenate(long_pairs), z)
 
 
 def torus_only_graph(n, seed=0) -> SmallWorldGraph:

@@ -36,6 +36,7 @@ __all__ = [
     "ring_size",
     "ring",
     "ring_offsets",
+    "ring_table",
     "torus_neighbor_indices",
     "torus_edge_boundary",
     "torus_boundary_count",
@@ -123,20 +124,26 @@ def ring_size(ell, n) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ring_offsets_cached(ell: int, n: int) -> np.ndarray:
-    # Offsets (a, b) with |a| + |b| = ell restricted to the coordinate box;
-    # at ell > n the tails |a| > n or |b| > n are cut off by the wraparound.
-    lo = max(0, ell - n)
-    hi = min(ell, n)
-    offs = []
-    for a in range(lo, hi + 1):
-        b = ell - a
-        for sa in (1,) if a == 0 else (1, -1):
-            for sb in (1,) if b == 0 else (1, -1):
-                offs.append((sa * a, sb * b))
-    arr = np.array(sorted(offs), dtype=np.int64)
-    arr.setflags(write=False)
-    return arr
+def ring_table(n) -> tuple:
+    """Every ring's offsets for torus parameter n, in one read-only table.
+
+    Returns (offsets, starts): offsets is the (N, 2) array of all box offsets
+    (a, b) with |a|, |b| <= n, sorted by (|a| + |b|, a, b), and ring ell
+    occupies rows starts[ell] to starts[ell + 1].  At ell > n the tails
+    |a| > n or |b| > n are cut off by the wraparound, so the box holds each
+    ring exactly.
+    """
+    n = _check_n(n)
+    a, b = np.divmod(np.arange((2 * n + 1) ** 2, dtype=np.int64), 2 * n + 1)
+    a -= n
+    b -= n
+    ell = np.abs(a) + np.abs(b)
+    order = np.lexsort((b, a, ell))
+    offsets = np.column_stack((a[order], b[order]))
+    starts = np.searchsorted(ell[order], np.arange(2 * n + 2))
+    for arr in (offsets, starts):
+        arr.setflags(write=False)
+    return offsets, starts
 
 
 def ring_offsets(ell, n) -> np.ndarray:
@@ -144,7 +151,8 @@ def ring_offsets(ell, n) -> np.ndarray:
     n = _check_n(n)
     if not 1 <= ell <= 2 * n:
         raise ValueError(f"ring distance must satisfy 1 <= ell <= 2n = {2 * n}, got {ell}")
-    return _ring_offsets_cached(int(ell), n)
+    offsets, starts = ring_table(n)
+    return offsets[starts[int(ell)] : starts[int(ell) + 1]]
 
 
 def ring(v, ell, n) -> np.ndarray:

@@ -360,3 +360,49 @@ def assemble_lexsort(params, long_pairs, normalizer):
         long_range_edges=long_pairs,
         normalizer=normalizer,
     )
+
+
+def ring_offsets_loop(ell: int, n: int) -> np.ndarray:
+    """Ring offsets built one ring at a time by walking |a| = lo..hi.
+
+    Offsets (a, b) with |a| + |b| = ell restricted to the coordinate box; at
+    ell > n the tails |a| > n or |b| > n are cut off by the wraparound.  The
+    library's single sorted table must slice to the same read-only array.
+    """
+    lo = max(0, ell - n)
+    hi = min(ell, n)
+    offs = []
+    for a in range(lo, hi + 1):
+        b = ell - a
+        for sa in (1,) if a == 0 else (1, -1):
+            for sb in (1,) if b == 0 else (1, -1):
+                offs.append((sa * a, sb * b))
+    arr = np.array(sorted(offs), dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def sample_graph_naive_full(params):
+    """The per-pair reference sampler drawn over the whole N x N matrix.
+
+    One uniform per eligible pair of the upper triangle, in row-major order,
+    from the stream under spawn key (1,).  The library's row-block sampler
+    must reproduce it array for array.
+    """
+    n, r = params.n, params.r
+    N = num_vertices(n)
+    side = 2 * n + 1
+    z = long_range_normalizer(n, r)
+    gx, gy = np.divmod(np.arange(N), side)
+    dx = np.abs(gx[:, None] - gx[None, :])
+    dy = np.abs(gy[:, None] - gy[None, :])
+    dist = np.minimum(dx, side - dx) + np.minimum(dy, side - dy)
+    iu, iv = np.triu_indices(N, k=1)
+    d = dist[iu, iv]
+    eligible = d >= 2
+    probs = d[eligible].astype(np.float64) ** -r / z
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=params.seed, spawn_key=(1,))))
+    accept = rng.random(probs.size) < probs
+    long_pairs = np.column_stack([iu[eligible][accept], iv[eligible][accept]])
+    return assemble_lexsort(params, long_pairs, z)
+

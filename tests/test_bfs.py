@@ -1,4 +1,4 @@
-"""BFS kernels against networkx: eccentricities, exact diameter, distances."""
+"""BFS kernels against networkx: eccentricities, exact diameter, distances, slot layout."""
 
 import networkx as nx
 import numpy as np
@@ -7,6 +7,7 @@ import pytest
 import oracles
 from swmix import (
     ModelParams,
+    SmallWorldGraph,
     bfs_distances,
     double_sweep,
     exact_diameter,
@@ -14,7 +15,7 @@ from swmix import (
     torus_only_graph,
 )
 from swmix import bfs
-from swmix.bfs import eccentricities
+from swmix.bfs import _settled, eccentricities
 
 
 def nx_graph(graph):
@@ -112,3 +113,59 @@ def test_bfs_distances_match_networkx():
             expect = nx.single_source_shortest_path_length(ng, source)
             got = bfs_distances(g, source)
             assert got.tolist() == [expect[v] for v in range(g.num_vertices)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [sample_graph(ModelParams(n=n, r=r, seed=n)) for n, r in ((1, 1.0), (2, 0.5), (3, 2.0))] + [torus_only_graph(4)],
+    ids=["n1", "n2", "n3", "torus4"],
+)
+def test_bfs_distances_every_source(g):
+    expect = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
+    for source in range(g.num_vertices):
+        got = bfs_distances(g, source)
+        assert got.dtype == np.int64
+        assert got.tolist() == [expect[source][v] for v in range(g.num_vertices)]
+
+
+@pytest.mark.parametrize("n, r, seed", [(1, 1.0, 0), (2, 0.0, 1), (3, 1.0, 2), (5, 2.0, 3), (8, 1.0, 4), (6, 8.0, 5)])
+def test_settled_matches_bruteforce(n, r, seed):
+    # brute force: v is settled when some source s has ecc(s) + d(s, v) <= lb
+    g = sample_graph(ModelParams(n=n, r=r, seed=seed))
+    dist = dict(nx.all_pairs_shortest_path_length(nx_graph(g)))
+    ecc_all = {v: max(d.values()) for v, d in dist.items()}
+    diameter = max(ecc_all.values())
+    rng = np.random.default_rng(seed)
+    for size in (1, 3, 12):
+        sources = rng.integers(g.num_vertices, size=size)
+        sources = np.concatenate((sources, sources[:2]))  # duplicated sources
+        ecc = np.array([ecc_all[int(s)] for s in sources], dtype=np.int64)
+        for lb in (diameter, diameter + 1):
+            expect = [any(e + dist[int(s)][v] <= lb for s, e in zip(sources, ecc)) for v in range(g.num_vertices)]
+            got = _settled(g, sources, ecc, lb)
+            assert got.dtype == np.bool_
+            assert got.tolist() == expect, (size, lb)
+
+
+@pytest.mark.parametrize("params", [ModelParams(n=5, r=1.0, seed=3), None], ids=["r1", "torus"])
+def test_neighbour_slots_built_once_and_cover_each_row(params, monkeypatch):
+    builds = []
+    build = SmallWorldGraph.neighbour_slots.func
+
+    def counting(graph):
+        builds.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(SmallWorldGraph.neighbour_slots, "func", counting)
+    graph = torus_only_graph(3) if params is None else sample_graph(params)
+    lb = exact_diameter(graph)
+    _settled(graph, np.array([0, 1]), eccentricities(graph, [0, 1]), lb)
+    order, rank, columns = graph.neighbour_slots
+    assert len(builds) == 1
+    assert np.array_equal(rank[order], np.arange(graph.num_vertices))
+    assert all(not a.flags.writeable for a in (order, rank, *columns))
+    # columns[j][k] is the rank of the j-th neighbour of the vertex of rank k
+    for v in range(graph.num_vertices):
+        k = rank[v]
+        got = [int(order[col[k]]) for col in columns if k < col.size]
+        assert sorted(got) == graph.neighbours(v).tolist()

@@ -241,6 +241,15 @@ def test_naive_sampler_matches_structure():
     assert np.array_equal(g.long_range_edges, again.long_range_edges)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+def test_naive_sampler_matches_full_matrix_oracle(n):
+    # row blocks draw the same uniforms, pair for pair, as one full-matrix draw
+    for r in (0.0, 1.0, 2.0, 4.0, 20.0):
+        for seed in (0, 7):
+            params = ModelParams(n=n, r=r, seed=seed)
+            _assert_same_graph(sample_graph_naive(params), oracles.sample_graph_naive_full(params))
+
+
 def test_naive_sampler_mean_degree():
     # mean degree 4 + 2 * (N/2) / N = 5
     n, seeds = 8, 100

@@ -16,6 +16,7 @@ from swmix import (
     mask_from_indices,
     num_vertices,
     ring,
+    ring_offsets,
     ring_size,
     torus_boundary_count,
     torus_distance,
@@ -112,6 +113,16 @@ def test_ring_members_are_at_exact_distance():
             assert (np.asarray(d) == ell).all()
             # no coordinate listed twice
             assert len({tuple(p) for p in pts}) == pts.shape[0]
+
+
+def test_ring_offsets_match_loop_oracle():
+    # the sorted table slices to each ring exactly, past the wraparound too
+    for n in range(1, 41):
+        for ell in range(1, 2 * n + 1):
+            got, expect = ring_offsets(ell, n), oracles.ring_offsets_loop(ell, n)
+            assert np.array_equal(got, expect), (n, ell)
+            assert got.dtype == expect.dtype and got.shape == expect.shape
+            assert not got.flags.writeable
 
 
 def test_torus_neighbor_indices_of_origin():
