@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from swmix.expansion import CutReport, _connected_sets, _neighbor_sets
 from swmix.generate import SmallWorldGraph, long_range_normalizer
 from swmix.torus import (
     index_to_coord,
@@ -25,6 +26,7 @@ from swmix.torus import (
     torus_distance,
     torus_neighbor_indices,
 )
+from swmix.walk import second_eigenpair
 
 
 def wrapped_distance(u, v, side: int) -> int:
@@ -228,6 +230,125 @@ def count_box_sets_brute(num_boxes: int, box_edges, max_size: int):
             if is_connected(combo, nbrs)
         )
     return counts
+
+
+def undirected_edges(graph) -> np.ndarray:
+    """(|E|, 2) array of the CSR's entries (u, v) with u < v."""
+    heads = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+    tails = graph.indices
+    keep = heads < tails
+    return np.column_stack([heads[keep], tails[keep]])
+
+
+def min_conductance_all_subsets_loop(graph):
+    """All-subsets minimum conductance with one pass per edge over each chunk.
+
+    Codes are scanned in increasing order and the best is replaced only on a
+    strictly smaller phi, so the witness is the smallest-code minimiser.
+    """
+    N = graph.num_vertices
+    edges = undirected_edges(graph)
+    degrees = graph.degrees
+    total = 2 * graph.edge_count
+    best_phi, best_code = math.inf, None
+    chunk = 1 << 18
+    bit_cols = np.arange(N, dtype=np.uint32)
+    for lo in range(1, 2**N - 1, chunk):
+        codes = np.arange(lo, min(lo + chunk, 2**N - 1), dtype=np.uint64)
+        bits = ((codes[:, None] >> bit_cols) & 1).astype(bool)
+        dsum = bits @ degrees
+        cut = np.zeros(codes.size, dtype=np.int64)
+        for u, v in edges:
+            cut += bits[:, u] != bits[:, v]
+        phi = cut * total / (dsum * (total - dsum))
+        i = int(np.argmin(phi))
+        if phi[i] < best_phi:
+            best_phi = float(phi[i])
+            best_code = int(codes[i])
+    witness = ((best_code >> np.arange(N)) & 1).astype(bool)
+    return best_phi, witness
+
+
+def min_conductance_anchored_growth(graph):
+    """Connected-only minimum conductance over every connected set of size <= N - 1.
+
+    The sets come from anchored-growth enumeration; the witness is the first
+    minimiser in that order, not necessarily the smallest code.
+    """
+    N = graph.num_vertices
+    edges = undirected_edges(graph)
+    degrees = graph.degrees
+    total = 2 * graph.edge_count
+    nbr = _neighbor_sets(edges, N)
+    best_phi, best_set = math.inf, None
+    for members in _connected_sets(nbr, N - 1):
+        idx = np.fromiter(members, dtype=np.int64)
+        dsum = int(degrees[idx].sum())
+        inside = np.zeros(N, dtype=bool)
+        inside[idx] = True
+        cut = int((inside[edges[:, 0]] != inside[edges[:, 1]]).sum())
+        phi = cut * total / (dsum * (total - dsum))
+        if phi < best_phi:
+            best_phi, best_set = phi, inside
+    return best_phi, best_set
+
+
+def min_conductance_connected_codes(num_vertices: int, edges):
+    """(exact phi, code) of the smallest-code connected minimiser.
+
+    Every code 1 .. 2^N - 2 is decoded, tested for connectivity by BFS and
+    scored as an exact rational, so connected sets of every size count.
+    """
+    nbrs = adjacency_lists(num_vertices, edges)
+    best, best_code = None, None
+    for code in range(1, 2**num_vertices - 1):
+        members = [v for v in range(num_vertices) if code >> v & 1]
+        if not is_connected(members, nbrs):
+            continue
+        mask = np.array([code >> v & 1 for v in range(num_vertices)], dtype=bool)
+        val = conductance_fraction(edges, mask)
+        if best is None or val < best:
+            best, best_code = val, code
+    return best, best_code
+
+
+def sweep_cut_loop(graph):
+    """Sweep-cut reports scored one prefix at a time by a Python loop."""
+    _, x = second_eigenpair(graph)
+    values = x / np.sqrt(graph.degrees)
+    order = np.argsort(values, kind="stable")
+    N = graph.num_vertices
+    total = 2 * graph.edge_count
+    in_set = np.zeros(N, dtype=bool)
+    nbr_in_count = np.zeros(N, dtype=np.int64)
+    dsum = 0
+    cut = 0
+    vboundary = 0
+    reports = []
+    for k in range(N - 1):
+        v = int(order[k])
+        nbrs = graph.indices[graph.indptr[v] : graph.indptr[v + 1]]
+        inside_nbrs = int(in_set[nbrs].sum())
+        deg = int(graph.degrees[v])
+        cut += deg - 2 * inside_nbrs
+        dsum += deg
+        if nbr_in_count[v] > 0:
+            vboundary -= 1  # v was on the outside boundary, now absorbed
+        in_set[v] = True
+        fresh = nbrs[(nbr_in_count[nbrs] == 0) & ~in_set[nbrs]]
+        vboundary += int(fresh.size)
+        nbr_in_count[nbrs] += 1
+        reports.append(
+            CutReport(
+                set_size=k + 1,
+                edge_boundary=cut,
+                vertex_boundary=vboundary,
+                degree_sum=dsum,
+                conductance=cut * total / (dsum * (total - dsum)),
+                alpha=(k + 1) / N,
+            )
+        )
+    return reports
 
 
 def dense_lazy_kernel(graph) -> np.ndarray:

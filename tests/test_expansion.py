@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 
 import oracles
 import support
+from swmix import expansion
 from swmix import (
     CapacityError,
     ModelParams,
@@ -274,6 +276,50 @@ def test_min_conductance_capacity():
         min_conductance_bruteforce(torus_only_graph(3))  # N = 49 > 25
     with pytest.raises(CapacityError):
         min_conductance_bruteforce(torus_only_graph(11), connected_only=True)
+
+
+def n9_graphs(r):
+    """The twelve n = 1 graphs at exponent r, or the bare 3x3 torus for r=None."""
+    if r is None:
+        return [torus_only_graph(1)]
+    return [small_world(n=1, r=r, seed=seed) for seed in range(12)]
+
+
+@pytest.mark.parametrize("chunk", [expansion._SCAN_CHUNK, 32])
+@pytest.mark.parametrize("r", [None, 0.0, 0.5, 1.0, 1.5, 2.0, 4.0, 20.0])
+def test_min_conductance_scan_matches_references(monkeypatch, r, chunk):
+    # chunks of 32 codes split the 510 proper subsets of N = 9, so minimisers
+    # tie across chunk borders as they do at N = 25 with the default chunk
+    monkeypatch.setattr(expansion, "_SCAN_CHUNK", chunk)
+    for g in n9_graphs(r):
+        N = g.num_vertices
+        edges = oracles.graph_edge_list(g)
+        phi, witness = min_conductance_bruteforce(g)
+        ref_phi, ref_witness = oracles.min_conductance_all_subsets_loop(g)
+        assert phi == ref_phi
+        assert witness.tolist() == ref_witness.tolist()
+        phi_conn, conn = min_conductance_bruteforce(g, connected_only=True)
+        assert phi_conn == oracles.min_conductance_anchored_growth(g)[0]
+        exact, code = oracles.min_conductance_connected_codes(N, edges)
+        assert phi_conn == float(exact)
+        assert sum(1 << int(v) for v in np.flatnonzero(conn)) == code
+        assert nx.is_connected(nx.Graph(edges).subgraph(np.flatnonzero(conn).tolist()))
+
+
+def test_min_conductance_connected_shares_cap():
+    with pytest.raises(CapacityError):
+        min_conductance_bruteforce(torus_only_graph(3), connected_only=True)  # N = 49 > 25
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
+def test_sweep_cut_matches_loop(n):
+    graphs = [small_world(n=n, r=r, seed=seed) for r in (0.0, 1.0, 2.0, 4.0) for seed in (1, 2, 3)]
+    for g in graphs + [torus_only_graph(n)]:
+        reports = sweep_cut(g)
+        assert reports == oracles.sweep_cut_loop(g)
+        for rep in reports:
+            assert type(rep.edge_boundary) is type(rep.vertex_boundary) is type(rep.degree_sum) is int
+            assert type(rep.conductance) is float
 
 
 def test_sweep_cut_report_count_and_bound():
