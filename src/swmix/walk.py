@@ -7,14 +7,13 @@ laziness, and reversible with stationary distribution pi_v = deg(v) / 2|E|.
 
 Mixing time is the first t at which the total-variation distance to pi,
 maximized over the chosen start vertices, drops to epsilon (1/4 by default).
-For lazy chains that distance is nonincreasing in t, so the search probes
-t = 1, 2, 4, 8, 16 and then every 16 steps (up to a step cap) until the
-target is bracketed, and bisects inside that last interval.  It keeps only
-the distributions of the last t that failed and evolves each midpoint from
-them, so it holds at most two distribution matrices besides the one being
-evolved.  Distributions are evolved in 64-bit floats with one
-renormalization every 64 steps to pin down mass drift.  The spectral gap comes
-from one Lanczos solve on the symmetrized kernel.
+The search evolves the start distributions one kernel product at a time, to
+exactly t_mix.  After each product it checks only the column that was worst
+at the last full evaluation, since the start set cannot pass while that
+column fails, and evaluates the full worst distance only when it passes.
+Distributions are evolved in 64-bit floats with one renormalization every 64
+steps to pin down mass drift.  The spectral gap comes from one Lanczos solve
+on the symmetrized kernel.
 
 With ``starts="all"`` the estimate is exact.  Above EXACT_STARTS_MAX_VERTICES
 vertices the ``"auto"`` policy switches to a documented heuristic start set,
@@ -57,9 +56,6 @@ EXACT_STARTS_MAX_VERTICES = 400
 
 # Steps between in-place renormalizations of evolved distributions.
 _RENORM_EVERY = 64
-
-# Largest gap between mixing-search probes; below it the probe t doubles.
-_PROBE_STRIDE = 16
 
 # Largest t the mixing search evaluates before giving up.
 _MAX_STEPS = 1_000_000
@@ -112,7 +108,7 @@ def tv_distance(mu, nu) -> float:
 
 def _evolve(kernel_t, Y: np.ndarray, t_from: int, t_to: int) -> np.ndarray:
     # Renormalization points are tied to absolute time, so evolving in pieces
-    # from the last t that failed reproduces the straight-line run bit for bit.
+    # reproduces the straight-line run bit for bit.
     for t in range(t_from + 1, t_to + 1):
         Y = kernel_t @ Y
         if t % _RENORM_EVERY == 0:
@@ -189,16 +185,20 @@ def _resolve_starts(graph: SmallWorldGraph, starts):
 def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEstimate:
     """Smallest t with max-over-starts TV distance to stationarity <= epsilon.
 
-    The search evaluates the worst TV distance at probes t = 1, 2, 4, ...
-    doubling up to _PROBE_STRIDE and then every _PROBE_STRIDE steps, each
-    clamped to _MAX_STEPS, until one probe meets epsilon.  It then bisects
-    between that probe and the last one that failed, evolving each midpoint
-    from the distributions of the last t that failed, which a failed midpoint
-    then replaces.  One worst-TV evaluation costs about as much as one kernel
-    product, so checking every step would double the cost of reaching t_mix,
-    while plain doubling overshoots t_mix by up to a factor of two.  With the
-    stride the search costs at most t_mix + 2 * _PROBE_STRIDE kernel products
-    and fewer than t_mix / _PROBE_STRIDE + 10 worst-TV evaluations.
+    The search evolves the start distributions one step at a time.  After
+    each step it computes the TV distance of one tracked column, the worst
+    one at the last full evaluation (first at t = 0).  While that column is
+    above epsilon + N * machine-eps, t fails: the margin bounds the rounding
+    between the column's sum taken alone and inside the full evaluation (N
+    terms summing to at most 2, halved), so the column is above epsilon there
+    too.  Otherwise the worst TV over all columns is evaluated; t is t_mix if
+    it is <= epsilon, and else its worst column is tracked next.  A single
+    start's distance never increases with t (Levin, Peres and Wilmer, Markov
+    Chains and Mixing Times, section 4.4), so a newly tracked column stays
+    above epsilon until it is close to passing.  The search costs exactly
+    t_mix kernel products and one column TV per step; full evaluations happen
+    at t = 0, at t_mix and wherever the tracked column passed before the
+    start set did.
 
     Args:
         graph: the sampled graph.
@@ -207,8 +207,8 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
         epsilon: TV threshold in (0, 1]; 1/4 by default.
 
     Returns:
-        MixingEstimate; its t_mix satisfies the threshold and t_mix - 1
-        does not, as TV from stationarity is nonincreasing for lazy walks.
+        MixingEstimate; its t_mix satisfies the threshold and every t below
+        it fails, either in a full evaluation or in its tracked column.
 
     Raises:
         TypeError: if explicit start vertices are not integers.
@@ -222,39 +222,34 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
     if not 0 < epsilon <= 1:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     start_vertices, exact = _resolve_starts(graph, starts)
-    pi = stationary(graph)[:, None]
+    pi = stationary(graph)
     kernel_t = _kernel_transpose(graph)
+    margin = graph.num_vertices * np.finfo(np.float64).eps
 
     Y = np.zeros((graph.num_vertices, start_vertices.size))
     Y[start_vertices, np.arange(start_vertices.size)] = 1.0
 
-    def worst_tv(M):
-        return 0.5 * float(np.abs(M - pi).sum(axis=0).max())
+    def worst_column(M):
+        col_tv = np.abs(M - pi[:, None]).sum(axis=0)
+        c = int(col_tv.argmax())
+        return c, 0.5 * float(col_tv[c])
 
-    curve = [(0, worst_tv(Y))]
-    if curve[0][1] <= epsilon:
-        return MixingEstimate(0, epsilon, start_vertices, exact, tuple(curve))
-
-    # lo: the last t that failed, Ylo: its distributions; hi: the first t that passed
-    lo, Ylo, hi, t = 0, Y, None, 1
-    while hi is None or hi - lo > 1:
-        Y = _evolve(kernel_t, Ylo, lo, t)
-        tv = worst_tv(Y)
-        curve.append((t, tv))
-        if tv <= epsilon:
-            hi = t
-        elif t == _MAX_STEPS:
+    c, tv = worst_column(Y)
+    curve, t = [(0, tv)], 0
+    while tv > epsilon:
+        if t == _MAX_STEPS:
             raise ConvergenceError(
                 f"worst TV distance {tv:.3g} still above {epsilon} after {_MAX_STEPS} steps",
                 last_value=tv,
                 last_iterate=tuple(curve),
                 iterations=_MAX_STEPS,
             )
-        else:
-            lo, Ylo = t, Y
-        t = min(t + min(t, _PROBE_STRIDE), _MAX_STEPS) if hi is None else (lo + hi) // 2
-    curve.sort()
-    return MixingEstimate(int(hi), epsilon, start_vertices, exact, tuple(curve))
+        Y = _evolve(kernel_t, Y, t, t + 1)
+        t += 1
+        if t == _MAX_STEPS or 0.5 * float(np.abs(Y[:, c] - pi).sum()) <= epsilon + margin:
+            c, tv = worst_column(Y)
+            curve.append((t, tv))
+    return MixingEstimate(t, epsilon, start_vertices, exact, tuple(curve))
 
 
 def second_eigenpair(graph: SmallWorldGraph, tol=1e-10, max_iter=30_000):

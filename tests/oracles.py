@@ -26,6 +26,7 @@ from swmix.torus import (
     torus_distance,
     torus_neighbor_indices,
 )
+from swmix import walk
 from swmix.walk import second_eigenpair
 
 
@@ -384,6 +385,39 @@ def mixing_time_by_powering(kernel, pi, epsilon: float = 0.25, max_steps: int = 
             return t
         assert t < max_steps, "mixing oracle did not converge"
         dists = dists @ kernel
+
+
+def mixing_time_stride_bisect(graph, starts="auto", epsilon: float = 0.25):
+    """(t_mix, start vertices) from a probe-and-bisect mixing search.
+
+    Probes the worst TV over the start columns at t = 1, 2, 4, 8, 16, then
+    every 16 steps, until one probe meets epsilon, and bisects between it and
+    the last probe that failed, evolving each midpoint from the distributions
+    of that failed probe.  It shares only the kernel, the start policy and
+    the evolution step with swmix.walk.mixing_time, which must give the same
+    t_mix.
+    """
+    start_vertices, _ = walk._resolve_starts(graph, starts)
+    pi = walk.stationary(graph)[:, None]
+    kernel_t = walk._kernel_transpose(graph)
+    Y = np.zeros((graph.num_vertices, start_vertices.size))
+    Y[start_vertices, np.arange(start_vertices.size)] = 1.0
+
+    def passes(M):
+        return 0.5 * float(np.abs(M - pi).sum(axis=0).max()) <= epsilon
+
+    if passes(Y):
+        return 0, start_vertices
+    lo, Ylo, hi, t = 0, Y, None, 1
+    while hi is None or hi - lo > 1:
+        Y = walk._evolve(kernel_t, Ylo, lo, t)
+        if passes(Y):
+            hi = t
+        else:
+            assert t < walk._MAX_STEPS, "stride-and-bisect oracle did not converge"
+            lo, Ylo = t, Y
+        t = min(t + min(t, 16), walk._MAX_STEPS) if hi is None else (lo + hi) // 2
+    return hi, start_vertices
 
 
 def spectral_gap_dense(kernel, pi) -> float:

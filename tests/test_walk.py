@@ -26,6 +26,7 @@ from swmix import (
     tv_distance,
 )
 from swmix import walk
+from swmix.harness import derive_seed
 
 
 def small_world(n=3, r=1.5, seed=7):
@@ -160,7 +161,8 @@ def test_mixing_time_exact_torus():
 
 
 def stride_graphs():
-    # t_mix 43, 57, 38 and 37: the search reaches its fixed-stride probes.
+    # t_mix 43, 57, 38 and 37: past the fixed-stride probes of the
+    # stride-and-bisect reference search (oracles.mixing_time_stride_bisect).
     return [torus_only_graph(6), torus_only_graph(7),
             sample_graph(ModelParams(n=6, r=4.0, seed=1)), sample_graph(ModelParams(n=6, r=4.0, seed=3))]
 
@@ -175,38 +177,103 @@ def test_mixing_time_matches_powering_oracle():
         pi = oracles.stationary_from_edges(g)
         assert est.t_mix == oracles.mixing_time_by_powering(kernel, pi), g.params
         t_mixes.append(est.t_mix)
-    assert max(t_mixes) > 3 * walk._PROBE_STRIDE
+    assert max(t_mixes) > 48
 
 
-def stepwise_worst_tv(g, t_max):
-    # Worst TV over all starts at t = 0..t_max, evolving one step at a time.
+def stepwise_column_tv(g, start_vertices, t_max):
+    # Twice the TV of every start column at t = 0..t_max, one step at a time.
     kernel_t = walk._kernel_transpose(g)
     pi = stationary(g)[:, None]
-    Y = np.eye(g.num_vertices)
-    worst = [0.5 * float(np.abs(Y - pi).sum(axis=0).max())]
+    Y = np.zeros((g.num_vertices, start_vertices.size))
+    Y[start_vertices, np.arange(start_vertices.size)] = 1.0
+    cols = [np.abs(Y - pi).sum(axis=0)]
     for t in range(t_max):
         Y = walk._evolve(kernel_t, Y, t, t + 1)
-        worst.append(0.5 * float(np.abs(Y - pi).sum(axis=0).max()))
-    return worst
+        cols.append(np.abs(Y - pi).sum(axis=0))
+    return cols
 
 
-def test_mixing_curve_matches_stepwise_evolution():
-    stride = walk._PROBE_STRIDE
+def counted_mixing_time(monkeypatch, g, **kwargs):
+    """(estimate or ConvergenceError, kernel products) of one mixing_time call."""
+    products = []
+    evolve = walk._evolve
+
+    def counting_evolve(kernel_t, Y, t_from, t_to):
+        products.append(t_to - t_from)
+        return evolve(kernel_t, Y, t_from, t_to)
+
+    with monkeypatch.context() as m:
+        m.setattr(walk, "_evolve", counting_evolve)
+        try:
+            result = mixing_time(g, **kwargs)
+        except ConvergenceError as err:
+            result = err
+    return result, sum(products)
+
+
+def check_search(g, curve, epsilon, start_vertices):
+    """Check a search's curve against the stepwise evolution of its start
+    columns; returns how often the tracked column changed, counting its pick
+    at t = 0, and the stepwise worst TV at t = 0..last t of the curve."""
+    ts = [t for t, _ in curve]
+    assert ts[0] == 0 and ts == sorted(set(ts))
+    cols = stepwise_column_tv(g, start_vertices, ts[-1])
+    worst = [0.5 * float(c.max()) for c in cols]
+    for t, tv in curve:
+        assert tv == worst[t], (g.params, t)
+    for t, tv in curve[:-1]:
+        assert tv > epsilon, (g.params, t)
+    # the failed evaluations pick the tracked column
+    picks = [int(cols[t].argmax()) for t, _ in curve[:-1]]
+    return 1 + sum(a != b for a, b in zip(picks, picks[1:])), worst
+
+
+def test_mixing_curve_matches_stepwise_evolution(monkeypatch):
     for g in [small_world(n=2, r=1.0, seed=9)] + stride_graphs():
-        est = mixing_time(g, starts="all")
-        ts = [t for t, _ in est.curve]
-        worst = stepwise_worst_tv(g, ts[-1])
-        for t, tv in est.curve:
-            assert tv == worst[t], (g.params, t)
+        est, products = counted_mixing_time(monkeypatch, g, starts="all")
+        changes, worst = check_search(g, est.curve, est.epsilon, est.start_vertices)
         assert est.t_mix == next(t for t, tv in enumerate(worst) if tv <= est.epsilon)
-        # probes 1, 2, 4, .., stride, 2 stride, .. up to the first at or past
-        # t_mix, then bisection strictly inside the last stride
-        probes = [1]
-        while probes[-1] < est.t_mix:
-            probes.append(probes[-1] + min(probes[-1], stride))
-        assert set(probes) <= set(ts), g.params
-        assert ts[-1] < est.t_mix + stride
-        assert len(ts) <= len(probes) + 1 + math.ceil(math.log2(stride))
+        # t_mix kernel products, and full evaluations at t = 0, at t_mix and
+        # only where the tracked column changed in between
+        assert products == est.t_mix == est.curve[-1][0], g.params
+        assert len(est.curve) <= 1 + changes
+
+
+def test_mixing_time_matches_stride_bisect_oracle():
+    # the nine mix_transition shapes at seed bases 0-2, then every epsilon on
+    # all starts and on explicit start lists of size 1 and 2
+    graph_cases = [(sample_graph(ModelParams(n=n, r=r, seed=derive_seed(base, n, r, 0))), "auto", 0.25)
+                   for base in range(3) for n in (8, 16, 24) for r in (1.0, 2.0, 4.0)]
+    small, strided = small_world(n=2, r=1.0, seed=9), stride_graphs()
+    for eps in (0.1, 0.25, 0.5, 1.0):
+        graph_cases += [(g, "all", eps) for g in strided]
+        graph_cases += [(small, [7], eps), (small, [0, 13], eps), (strided[0], [24], eps)]
+    switched = False
+    for g, starts, eps in graph_cases:
+        est = mixing_time(g, starts=starts, epsilon=eps)
+        t_mix, start_vertices = oracles.mixing_time_stride_bisect(g, starts, eps)
+        assert est.t_mix == t_mix, (g.params, starts, eps)
+        assert np.array_equal(est.start_vertices, start_vertices)
+        assert est.curve[-1][0] == t_mix and est.curve[-1][1] <= eps
+        switched |= check_search(g, est.curve, eps, est.start_vertices)[0] > 1
+    assert switched  # a failed full evaluation after t = 0 moved the tracked column
+
+
+def test_mixing_search_cost(monkeypatch):
+    # exactly t_mix kernel products, or _MAX_STEPS when the search gives up,
+    # and no full evaluation but the last leaves the tracked column in place
+    cases = [(small_world(n=2, r=1.0, seed=9), eps) for eps in (0.1, 0.5, 1.0)]
+    cases += [(sample_graph(ModelParams(n=8, r=r, seed=derive_seed(0, 8, r, 0))), 0.25) for r in (1.0, 2.0, 4.0)]
+    for g, eps in cases:
+        est, products = counted_mixing_time(monkeypatch, g, starts="all", epsilon=eps)
+        assert products == est.t_mix, g.params
+        assert len(est.curve) <= 1 + check_search(g, est.curve, eps, est.start_vertices)[0]
+    g = torus_only_graph(6)
+    monkeypatch.setattr(walk, "_MAX_STEPS", 30)
+    err, products = counted_mixing_time(monkeypatch, g, starts="all")
+    assert isinstance(err, ConvergenceError)
+    assert products == 30
+    assert len(err.last_iterate) <= 1 + check_search(g, err.last_iterate, 0.25, np.arange(g.num_vertices))[0]
 
 
 def test_mixing_time_threshold_is_tight():
@@ -293,7 +360,7 @@ def test_second_eigenpair_iteration_cap():
 def test_mixing_time_step_cap(monkeypatch):
     graphs = (small_world(n=2, r=1.0, seed=9), torus_only_graph(6))
     t_mixes = [mixing_time(g, starts="all").t_mix for g in graphs]
-    assert t_mixes[1] == 43  # its caps 43 and 42 lie between the stride probes 32 and 48
+    assert t_mixes[1] == 43
     for g, t_mix in zip(graphs, t_mixes):
         monkeypatch.setattr(walk, "_MAX_STEPS", t_mix)
         est = mixing_time(g, starts="all")
@@ -307,7 +374,9 @@ def test_mixing_time_step_cap(monkeypatch):
         ts = [t for t, _ in err.last_iterate]
         assert ts[0] == 0 and ts[-1] == cap and ts == sorted(ts)
         assert err.last_value == err.last_iterate[-1][1] > 0.25
-    assert ts == [0, 1, 2, 4, 8, 16, 32, 42]
+    # every column of the vertex-transitive torus is equally far from pi, so
+    # the tracked column at t = 0 fails until the cap forces a full evaluation
+    assert ts == [0, 42]
 
 
 def test_walk_inputs_must_be_integers():
