@@ -11,7 +11,7 @@ replicates on a small grid and prints the three growth profiles.
 import math
 import statistics
 
-from swmix import SweepConfig, num_vertices, run_mixing_sweep
+from swmix import SweepConfig, num_vertices, run_sweep
 
 N_VALUES = (6, 9, 13, 19)
 SEEDS = 8
@@ -21,7 +21,7 @@ for r, label in ((1.0, "t_mix / ln N (flat when r < 2)"),
                  (4.0, "t_mix (roughly x4 per doubling of n when r > 2)")):
     cfg = SweepConfig(experiment="mix", n_values=N_VALUES, r_values=(r,),
                       num_seeds=SEEDS, seed_base=0)
-    records = run_mixing_sweep(cfg)
+    records = run_sweep(cfg)
     by_n = {}
     for rec in records:
         by_n.setdefault(rec.n, []).append(rec.values["t_mix"])

@@ -14,7 +14,7 @@ from swmix import (
     SweepConfig,
     ball_set,
     cut_report,
-    run_conductance_sweep,
+    run_sweep,
     sample_graph,
     sweep_cut,
 )
@@ -24,7 +24,7 @@ print(f"{'r':>5} {'n':>4} {'|ball|':>7} {'|edge bd|':>10} {'phi(ball)':>10}")
 for r in (4.0, 3.0, 2.5):
     cfg = SweepConfig(experiment="conductance", n_values=(10, 20, 40), r_values=(r,),
                       num_seeds=10, seed_base=0, include_sweep_min=False)
-    records = run_conductance_sweep(cfg)
+    records = run_sweep(cfg)
     by_n = {}
     for rec in records:
         by_n.setdefault(rec.n, []).append(rec)

@@ -9,7 +9,7 @@ toward polylogarithmic.
 
 import statistics
 
-from swmix import SweepConfig, run_routing_sweep
+from swmix import SweepConfig, run_sweep
 
 GRID = (32, 64, 128)
 
@@ -17,7 +17,7 @@ print("median hops over 500 pairs, 3 seeds per cell")
 print(f"{'n':>5} {'r=0':>8} {'r=2':>8}")
 cfg = SweepConfig(experiment="routing", n_values=GRID, r_values=(0.0, 2.0),
                   num_seeds=3, seed_base=0, pairs=500)
-records = run_routing_sweep(cfg)
+records = run_sweep(cfg)
 med = {}
 for rec in records:
     med.setdefault((rec.r, rec.n), []).append(rec.values["median_hops"])

@@ -12,6 +12,7 @@ the eigen solve) hit its iteration cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import harness
@@ -29,10 +30,12 @@ EXIT_CONVERGENCE = 5
 def _add_cell_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="torus parameter (N = (2n+1)^2 vertices)")
     parser.add_argument("--r", type=float, required=True, help="long-range distance exponent")
-    parser.add_argument("--seeds", type=int, default=10, help="number of derived replicate seeds")
+    parser.add_argument("--seeds", type=int, default=10, dest="num_seeds", metavar="SEEDS",
+                        help="number of derived replicate seeds")
     parser.add_argument("--seed-base", type=int, default=0, help="base for per-replicate seed derivation")
     parser.add_argument("--workers", type=int, default=None, help="thread budget (default: cpu count, max 8)")
-    parser.add_argument("--out", required=True, help="output file (.json for JSON, else CSV)")
+    parser.add_argument("--out", required=True, dest="output", metavar="OUT",
+                        help="output file (.json for JSON, else CSV)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,22 +54,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     mix = sub.add_parser("mix", help="mixing time, spectral gap, and diameter per seed")
     _add_cell_args(mix)
+    mix.set_defaults(experiment="mix")
     mix.add_argument("--starts", choices=("auto", "all", "heuristic"), default="auto",
                      help="mixing start policy")
 
     con = sub.add_parser("conductance", help="ball-cut conductance report per seed")
     _add_cell_args(con)
+    con.set_defaults(experiment="conductance")
     con.add_argument("--ball-frac", type=float, default=0.9, help="ball radius fraction of n")
-    con.add_argument("--no-sweep-min", action="store_true",
+    con.add_argument("--no-sweep-min", action="store_false", dest="include_sweep_min",
                      help="skip the spectral sweep-cut minimum column")
 
     wq = sub.add_parser("wq", help="connected box-set counts per seed")
     _add_cell_args(wq)
-    wq.add_argument("--ell", type=int, default=2, help="nominal box side of the partition")
-    wq.add_argument("--qmax", type=int, default=3, help="largest box-set size counted")
+    wq.set_defaults(experiment="wq")
+    wq.add_argument("--ell", type=int, default=2, dest="box_side", metavar="ELL",
+                    help="nominal box side of the partition")
+    wq.add_argument("--qmax", type=int, default=3, dest="q_max", metavar="QMAX",
+                    help="largest box-set size counted")
 
     route = sub.add_parser("route", help="greedy routing hop statistics per seed")
     _add_cell_args(route)
+    route.set_defaults(experiment="routing")
     route.add_argument("--pairs", type=int, default=100, help="random source/target pairs per seed")
 
     swp = sub.add_parser("sweep", help="run a full (n, r) grid described by a config file")
@@ -76,33 +85,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> harness.SweepConfig:
-    experiment = {"mix": "mix", "conductance": "conductance", "wq": "wq", "route": "routing"}[args.command]
-    kwargs = dict(
-        experiment=experiment,
-        n_values=(args.n,),
-        r_values=(args.r,),
-        num_seeds=args.seeds,
-        seed_base=args.seed_base,
-        workers=args.workers,
-        output=args.out,
-    )
-    if experiment == "mix":
-        kwargs["starts"] = args.starts
-    elif experiment == "conductance":
-        kwargs["ball_frac"] = args.ball_frac
-        kwargs["include_sweep_min"] = not args.no_sweep_min
-    elif experiment == "wq":
-        kwargs["box_side"] = args.ell
-        kwargs["q_max"] = args.qmax
-    elif experiment == "routing":
-        kwargs["pairs"] = args.pairs
-    return harness.SweepConfig(**kwargs)
-
-
-def _emit(records, out, cfg) -> None:
-    fmt = "json" if str(out).endswith(".json") else "csv"
-    harness.emit(records, fmt, out, cfg)
-    print(f"wrote {len(records)} records to {out}")
+    # every flag of a cell subcommand but --n and --r is stored under its SweepConfig field name
+    fields = {f.name for f in dataclasses.fields(harness.SweepConfig)}
+    kwargs = {k: v for k, v in vars(args).items() if k in fields}
+    return harness.SweepConfig(n_values=(args.n,), r_values=(args.r,), **kwargs)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -119,10 +105,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         out = args.out or cfg.output
         if not out:
             raise ValueError("no output path: set 'output' in the config or pass --out")
-        _emit(harness.run_sweep(cfg), out, cfg)
-        return EXIT_OK
-    cfg = _config_from_args(args)
-    _emit(harness.run_sweep(cfg), args.out, cfg)
+    else:
+        cfg = _config_from_args(args)
+        out = cfg.output
+    records = harness.run_sweep(cfg)
+    fmt = "json" if str(out).endswith(".json") else "csv"
+    harness.emit(records, fmt, out, cfg)
+    print(f"wrote {len(records)} records to {out}")
     return EXIT_OK
 
 

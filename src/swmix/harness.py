@@ -9,6 +9,10 @@ spawn keys: routing pair selection uses spawn_key (0, 3) and random-set
 expansion statistics use (0, 4); graph sampling owns keys (d,) for distance
 classes d >= 2 plus (1,), and the walk heuristics own (0, 1) and (0, 2).
 
+Every experiment runs through one pipeline, :func:`run_sweep`: each cell
+samples its graph, measures it with the experiment's ``_measure_*`` function,
+and wraps the returned columns in an ExperimentRecord.
+
 Cells run under a bounded thread pool (the SWMIX_WORKERS environment
 variable overrides the width) and records are sorted by (n, r, seed) before
 emission, so output files are byte-identical regardless of schedule.  CSV
@@ -47,20 +51,12 @@ __all__ = [
     "RoutingResult",
     "derive_seed",
     "config_digest",
-    "run_mixing_sweep",
-    "run_conductance_sweep",
-    "run_diameter_sweep",
-    "run_wq_experiment",
-    "run_routing_sweep",
-    "run_expansion_sweep",
     "run_sweep",
     "greedy_route",
     "emit",
     "load_records",
     "load_sweep_config",
 ]
-
-EXPERIMENTS = ("mix", "conductance", "diameter", "routing", "wq", "expansion")
 
 WORKERS_ENV_VAR = "SWMIX_WORKERS"
 
@@ -115,6 +111,10 @@ class SweepConfig:
     sweep-cut column, ``box_side``/``q_max`` parametrize the connected
     box-set counts, ``pairs`` the routing sample, and ``random_sets`` the
     random-set sample of the expansion experiment.
+
+    Raises:
+        ValueError: for a field out of range, or a zero conductance ball radius.
+        CapacityError: for starts="all" with an n over the exact-starts cap.
     """
 
     experiment: str
@@ -169,6 +169,19 @@ class SweepConfig:
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
             object.__setattr__(self, name, int(v))
+        if self.experiment == "mix" and self.starts == "all":
+            for n in self.n_values:
+                if num_vertices(n) > EXACT_STARTS_MAX_VERTICES:
+                    raise CapacityError(
+                        f"exact mixing starts need N <= {EXACT_STARTS_MAX_VERTICES}; "
+                        f"n={n} has N={num_vertices(n)}"
+                    )
+        if self.experiment == "conductance":
+            for n in self.n_values:
+                if int(self.ball_frac * n) < 1:
+                    raise ValueError(
+                        f"ball radius floor({self.ball_frac} * {n}) is zero; increase n or ball_frac"
+                    )
 
     def instance_seeds(self, n, r) -> tuple:
         """Seeds used for grid cell (n, r), in replicate order."""
@@ -270,98 +283,60 @@ def _run_grid(cfg: SweepConfig, cell) -> list:
     return records
 
 
-def _require_experiment(cfg: SweepConfig, kind: str) -> None:
-    if cfg.experiment != kind:
-        raise ValueError(f"config experiment is {cfg.experiment!r}, expected {kind!r}")
-
-
-def run_mixing_sweep(cfg: SweepConfig) -> list:
-    """Mixing time, spectral gap, exact diameter, and pi_min per grid cell.
+def _measure_mix(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
+    """Mixing time, spectral gap, exact diameter, and pi_min of one graph.
 
     The start policy comes from cfg.starts: "all" evolves every point mass
     (exact mixing time, capped at EXACT_STARTS_MAX_VERTICES vertices),
     "heuristic" uses the documented start set, and "auto" switches between
     them on the cap.  t_mix_exact records which one happened.
-
-    Raises:
-        CapacityError: if cfg demands exact starts for an n over the cap.
     """
-    _require_experiment(cfg, "mix")
-    if cfg.starts == "all":
-        for n in cfg.n_values:
-            if num_vertices(n) > EXACT_STARTS_MAX_VERTICES:
-                raise CapacityError(
-                    f"exact mixing starts need N <= {EXACT_STARTS_MAX_VERTICES}; "
-                    f"n={n} has N={num_vertices(n)}"
-                )
-
-    def cell(n, r, seed):
-        graph = sample_graph(ModelParams(n=n, r=r, seed=seed))
-        est = mixing_time(graph, starts=cfg.starts)
-        lam, _ = second_eigenpair(graph)
-        diam = expansion.diameter(graph, exact=True)
-        values = {
-            "t_mix": int(est.t_mix),
-            "t_mix_exact": int(est.exact),
-            "gap": 1.0 - lam,
-            "diameter": int(diam),
-            "pi_min": float(stationary(graph).min()),
-        }
-        return _record(cfg, graph, values)
-
-    return _run_grid(cfg, cell)
+    est = mixing_time(graph, starts=cfg.starts)
+    lam, _ = second_eigenpair(graph)
+    diam = expansion.diameter(graph, exact=True)
+    return {
+        "t_mix": int(est.t_mix),
+        "t_mix_exact": int(est.exact),
+        "gap": 1.0 - lam,
+        "diameter": int(diam),
+        "pi_min": float(stationary(graph).min()),
+    }
 
 
-def run_conductance_sweep(cfg: SweepConfig) -> list:
-    """Ball-cut report at radius floor(ball_frac * n) per grid cell.
+def _measure_conductance(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
+    """Ball-cut report at radius floor(ball_frac * n) of one graph.
 
     Records the full cut report of the L1 ball (size, edge and vertex
     boundary, conductance) plus the independently computed complement
     conductance; with include_sweep_min also the minimum conductance over
     the spectral sweep-cut prefixes.
     """
-    _require_experiment(cfg, "conductance")
-    for n in cfg.n_values:
-        if int(cfg.ball_frac * n) < 1:
-            raise ValueError(f"ball radius floor({cfg.ball_frac} * {n}) is zero; increase n or ball_frac")
-
-    def cell(n, r, seed):
-        radius = int(cfg.ball_frac * n)
-        graph = sample_graph(ModelParams(n=n, r=r, seed=seed))
-        ball = expansion.ball_set(n, radius)
-        report = expansion.cut_report(graph, ball)
-        values = {
-            "ball_radius": radius,
-            "ball_size": report.set_size,
-            "ball_edge_boundary": report.edge_boundary,
-            "ball_vertex_boundary": report.vertex_boundary,
-            "phi_ball": report.conductance,
-            "phi_ball_complement": expansion.conductance(graph, ~ball),
-        }
-        if cfg.include_sweep_min:
-            values["phi_sweep_min"] = min(rp.conductance for rp in expansion.sweep_cut(graph))
-        return _record(cfg, graph, values)
-
-    return _run_grid(cfg, cell)
+    radius = int(cfg.ball_frac * graph.n)
+    ball = expansion.ball_set(graph.n, radius)
+    report = expansion.cut_report(graph, ball)
+    values = {
+        "ball_radius": radius,
+        "ball_size": report.set_size,
+        "ball_edge_boundary": report.edge_boundary,
+        "ball_vertex_boundary": report.vertex_boundary,
+        "phi_ball": report.conductance,
+        "phi_ball_complement": expansion.conductance(graph, ~ball),
+    }
+    if cfg.include_sweep_min:
+        values["phi_sweep_min"] = min(rp.conductance for rp in expansion.sweep_cut(graph))
+    return values
 
 
-def run_diameter_sweep(cfg: SweepConfig) -> list:
-    """Exact diameter and the double-sweep lower bound per grid cell."""
-    _require_experiment(cfg, "diameter")
-
-    def cell(n, r, seed):
-        graph = sample_graph(ModelParams(n=n, r=r, seed=seed))
-        values = {
-            "diameter": int(expansion.diameter(graph, exact=True)),
-            "diameter_lower": int(expansion.diameter(graph, exact=False)),
-        }
-        return _record(cfg, graph, values)
-
-    return _run_grid(cfg, cell)
+def _measure_diameter(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
+    """Exact diameter and the double-sweep lower bound of one graph."""
+    return {
+        "diameter": int(expansion.diameter(graph, exact=True)),
+        "diameter_lower": int(expansion.diameter(graph, exact=False)),
+    }
 
 
-def run_wq_experiment(cfg: SweepConfig) -> list:
-    """Connected box-set counts W_q for q = 1..q_max per grid cell.
+def _measure_wq(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
+    """Connected box-set counts W_q for q = 1..q_max of one graph.
 
     Each record carries the per-seed counts w_q next to the expectation
     bound n^2 (40 box_side^2)^q, so seed means can be compared downstream.
@@ -370,18 +345,12 @@ def run_wq_experiment(cfg: SweepConfig) -> list:
         CapacityError: propagated from the box-set counter when the
             partition or q exceeds its enumeration caps.
     """
-    _require_experiment(cfg, "wq")
-
-    def cell(n, r, seed):
-        graph = sample_graph(ModelParams(n=n, r=r, seed=seed))
-        partition = make_box_partition(n, cfg.box_side)
-        values = {"box_side": cfg.box_side, "num_boxes": partition.num_boxes}
-        for q in range(1, cfg.q_max + 1):
-            values[f"w_{q}"] = int(expansion.count_connected_box_sets(graph, partition, q))
-            values[f"bound_{q}"] = float(n) ** 2 * (40.0 * cfg.box_side**2) ** q
-        return _record(cfg, graph, values)
-
-    return _run_grid(cfg, cell)
+    partition = make_box_partition(graph.n, cfg.box_side)
+    values = {"box_side": cfg.box_side, "num_boxes": partition.num_boxes}
+    for q in range(1, cfg.q_max + 1):
+        values[f"w_{q}"] = int(expansion.count_connected_box_sets(graph, partition, q))
+        values[f"bound_{q}"] = float(graph.n) ** 2 * (40.0 * cfg.box_side**2) ** q
+    return values
 
 
 def greedy_route(graph: SmallWorldGraph, source, target, hop_cap=None) -> RoutingResult:
@@ -439,38 +408,31 @@ def greedy_route(graph: SmallWorldGraph, source, target, hop_cap=None) -> Routin
     return RoutingResult(source=source, target=target, hops=hops, delivered=cur == target)
 
 
-def run_routing_sweep(cfg: SweepConfig) -> list:
-    """Greedy routing over cfg.pairs seeded uniform pairs per grid cell.
+def _measure_routing(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
+    """Greedy routing over cfg.pairs seeded uniform pairs of one graph.
 
     Pair selection draws from the instance seed under spawn key (0, 3);
     records carry the delivered count and the median and max hop counts.
     """
-    _require_experiment(cfg, "routing")
-
-    def cell(n, r, seed):
-        graph = sample_graph(ModelParams(n=n, r=r, seed=seed))
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, 3))
-        rng = np.random.Generator(np.random.Philox(ss))
-        pairs = rng.integers(0, graph.num_vertices, size=(cfg.pairs, 2))
-        hops = []
-        delivered = 0
-        for s, t in pairs:
-            result = greedy_route(graph, int(s), int(t))
-            hops.append(result.hops)
-            delivered += int(result.delivered)
-        values = {
-            "pairs": cfg.pairs,
-            "delivered_count": delivered,
-            "median_hops": float(statistics.median(hops)),
-            "max_hops": int(max(hops)),
-        }
-        return _record(cfg, graph, values)
-
-    return _run_grid(cfg, cell)
+    ss = np.random.SeedSequence(entropy=graph.params.seed, spawn_key=(0, 3))
+    rng = np.random.Generator(np.random.Philox(ss))
+    pairs = rng.integers(0, graph.num_vertices, size=(cfg.pairs, 2))
+    hops = []
+    delivered = 0
+    for s, t in pairs:
+        result = greedy_route(graph, int(s), int(t))
+        hops.append(result.hops)
+        delivered += int(result.delivered)
+    return {
+        "pairs": cfg.pairs,
+        "delivered_count": delivered,
+        "median_hops": float(statistics.median(hops)),
+        "max_hops": int(max(hops)),
+    }
 
 
-def run_expansion_sweep(cfg: SweepConfig) -> list:
-    """Random-set expansion statistics per grid cell.
+def _measure_expansion(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
+    """Random-set expansion statistics of one graph.
 
     Draws from the instance seed under spawn key (0, 4):
       - m_hat: max over cfg.random_sets uniform random sets (sizes uniform in
@@ -482,64 +444,70 @@ def run_expansion_sweep(cfg: SweepConfig) -> list:
       - ec_holds: whether a uniform random set of ceil(N/10) vertices is
         (0.1, 0.05)-expanding.
     """
-    _require_experiment(cfg, "expansion")
+    n = graph.n
+    N = graph.num_vertices
+    ss = np.random.SeedSequence(entropy=graph.params.seed, spawn_key=(0, 4))
+    rng = np.random.Generator(np.random.Philox(ss))
 
-    def cell(n, r, seed):
-        graph = sample_graph(ModelParams(n=n, r=r, seed=seed))
-        N = graph.num_vertices
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, 4))
-        rng = np.random.Generator(np.random.Philox(ss))
+    m_hat = 0.0
+    for _ in range(cfg.random_sets):
+        size = int(rng.integers(1, N // 2 + 1))
+        S = mask_from_indices(rng.choice(N, size=size, replace=False), n)
+        report = expansion.cut_report(graph, S)
+        m_hat = max(m_hat, (report.degree_sum - report.edge_boundary) / report.set_size)
 
-        m_hat = 0.0
-        for _ in range(cfg.random_sets):
-            size = int(rng.integers(1, N // 2 + 1))
-            S = mask_from_indices(rng.choice(N, size=size, replace=False), n)
-            report = expansion.cut_report(graph, S)
-            m_hat = max(m_hat, (report.degree_sum - report.edge_boundary) / report.set_size)
+    partition = make_box_partition(n, cfg.box_side)
+    target = float(rng.uniform(0.1, 0.5)) * N
+    chosen = np.zeros(partition.num_boxes, dtype=bool)
+    covered = 0
+    for box in rng.permutation(partition.num_boxes):
+        chosen[box] = True
+        covered += int(partition.sizes[box])
+        if covered >= target:
+            break
+    box_like = chosen[partition.labels]
+    alpha = covered / N
+    vb = int(expansion.vertex_boundary(graph, box_like).sum())
+    vx_ratio = vb * math.log(n) / (covered * math.log(1.0 / alpha)) if n > 1 else 0.0
 
-        partition = make_box_partition(n, cfg.box_side)
-        target = float(rng.uniform(0.1, 0.5)) * N
-        chosen = np.zeros(partition.num_boxes, dtype=bool)
-        covered = 0
-        for box in rng.permutation(partition.num_boxes):
-            chosen[box] = True
-            covered += int(partition.sizes[box])
-            if covered >= target:
-                break
-        box_like = chosen[partition.labels]
-        alpha = covered / N
-        vb = int(expansion.vertex_boundary(graph, box_like).sum())
-        vx_ratio = vb * math.log(n) / (covered * math.log(1.0 / alpha)) if n > 1 else 0.0
+    size10 = max(1, math.ceil(N / 10))
+    S10 = mask_from_indices(rng.choice(N, size=size10, replace=False), n)
+    verdict = expansion.is_expanding(graph, S10, 0.1, 0.05)
 
-        size10 = max(1, math.ceil(N / 10))
-        S10 = mask_from_indices(rng.choice(N, size=size10, replace=False), n)
-        verdict = expansion.is_expanding(graph, S10, 0.1, 0.05)
-
-        values = {
-            "random_sets": cfg.random_sets,
-            "m_hat": m_hat,
-            "vx_alpha": alpha,
-            "vx_ratio": vx_ratio,
-            "ec_holds": int(verdict.holds),
-        }
-        return _record(cfg, graph, values)
-
-    return _run_grid(cfg, cell)
+    return {
+        "random_sets": cfg.random_sets,
+        "m_hat": m_hat,
+        "vx_alpha": alpha,
+        "vx_ratio": vx_ratio,
+        "ec_holds": int(verdict.holds),
+    }
 
 
-_RUNNERS = {
-    "mix": run_mixing_sweep,
-    "conductance": run_conductance_sweep,
-    "diameter": run_diameter_sweep,
-    "routing": run_routing_sweep,
-    "wq": run_wq_experiment,
-    "expansion": run_expansion_sweep,
+# Experiment name -> measure function; the one list of valid experiments.
+_MEASURES = {
+    "mix": _measure_mix,
+    "conductance": _measure_conductance,
+    "diameter": _measure_diameter,
+    "routing": _measure_routing,
+    "wq": _measure_wq,
+    "expansion": _measure_expansion,
 }
+EXPERIMENTS = tuple(_MEASURES)
 
 
 def run_sweep(cfg: SweepConfig) -> list:
-    """Run the experiment named by cfg.experiment; records sorted by (n, r, seed)."""
-    return _RUNNERS[cfg.experiment](cfg)
+    """Run the experiment named by cfg.experiment; records sorted by (n, r, seed).
+
+    Each cell samples its graph and measures it with ``_measure_<experiment>``,
+    whose docstring lists the columns, spawn keys and errors.
+    """
+    measure = _MEASURES[cfg.experiment]
+
+    def cell(n, r, seed):
+        graph = sample_graph(ModelParams(n=n, r=r, seed=seed))
+        return _record(cfg, graph, measure(graph, cfg))
+
+    return _run_grid(cfg, cell)
 
 
 def _format_cell(value) -> str:
@@ -643,38 +611,37 @@ def load_records(path):
     return [_record_from_row(row) for row in rows], manifest
 
 
-_LIST_KEYS = frozenset({"n_values", "r_values", "seeds"})
-_INT_KEYS = frozenset({"num_seeds", "seed_base", "workers", "box_side", "q_max", "pairs", "random_sets"})
-_FLOAT_KEYS = frozenset({"ball_frac"})
-_BOOL_KEYS = frozenset({"include_sweep_min"})
+def _parse_bool(value):
+    lowered = value.lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(f"not a boolean: {value!r}")
 
 
-def _split_list(value):
-    return [token.strip() for token in value.split(",") if token.strip()]
+def _list_of(parse):
+    return lambda value: tuple(parse(token) for token in value.split(",") if token.strip())
 
 
-def _parse_config_value(key, value, lineno):
-    try:
-        if key == "n_values":
-            return tuple(int(token) for token in _split_list(value))
-        if key == "r_values":
-            return tuple(float(token) for token in _split_list(value))
-        if key == "seeds":
-            return tuple(int(token) for token in _split_list(value))
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            lowered = value.lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {value!r}")
-        return value
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from None
+# SweepConfig field -> parser of its config-file value; the file's key set.
+_PARSERS = {
+    "experiment": str,
+    "n_values": _list_of(int),
+    "r_values": _list_of(float),
+    "seeds": _list_of(int),
+    "num_seeds": int,
+    "seed_base": int,
+    "output": str,
+    "starts": str,
+    "workers": int,
+    "ball_frac": float,
+    "include_sweep_min": _parse_bool,
+    "box_side": int,
+    "q_max": int,
+    "pairs": int,
+    "random_sets": int,
+}
 
 
 def load_sweep_config(path) -> SweepConfig:
@@ -686,8 +653,9 @@ def load_sweep_config(path) -> SweepConfig:
     Raises:
         ValueError: on unknown or duplicate keys, malformed lines, or a
             config violating the SweepConfig invariants.
+        CapacityError: for a mix config with starts = all and an n over
+            the exact-starts cap.
     """
-    known = {f.name for f in dataclasses.fields(SweepConfig)}
     kwargs = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -699,11 +667,14 @@ def load_sweep_config(path) -> SweepConfig:
             key, _, value = line.partition("=")
             key = key.strip()
             value = value.strip()
-            if key not in known:
+            if key not in _PARSERS:
                 raise ValueError(f"line {lineno}: unknown config key {key!r}")
             if key in kwargs:
                 raise ValueError(f"line {lineno}: duplicate config key {key!r}")
-            kwargs[key] = _parse_config_value(key, value, lineno)
+            try:
+                kwargs[key] = _PARSERS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from None
     try:
         return SweepConfig(**kwargs)
     except TypeError as exc:

@@ -34,11 +34,7 @@ from swmix import (
     derive_seed,
     mask_from_indices,
     num_vertices,
-    run_conductance_sweep,
-    run_diameter_sweep,
-    run_expansion_sweep,
-    run_mixing_sweep,
-    run_routing_sweep,
+    run_sweep,
     sample_graph,
 )
 
@@ -58,21 +54,21 @@ def main():
     out = {"seed_base": SEED_BASE, "pilot_seeds": 10}
 
     # mixing trends (criteria on median t_mix / ln N and slow-side ratios)
-    mix1 = run_mixing_sweep(
+    mix1 = run_sweep(
         SweepConfig(experiment="mix", n_values=[8, 12, 16, 24, 32], r_values=[1.0],
                     num_seeds=10, seed_base=SEED_BASE)
     )
     out["mix_r1_tmix_over_lnN"] = medians(mix1, "t_mix", lambda n: math.log(num_vertices(n)))
     print("mix r=1 done", flush=True)
 
-    mix4 = run_mixing_sweep(
+    mix4 = run_sweep(
         SweepConfig(experiment="mix", n_values=[8, 16, 32], r_values=[4.0],
                     num_seeds=10, seed_base=SEED_BASE)
     )
     out["mix_r4_tmix"] = medians(mix4, "t_mix", lambda n: 1)
     print("mix r=4 done", flush=True)
 
-    mix2 = run_mixing_sweep(
+    mix2 = run_sweep(
         SweepConfig(experiment="mix", n_values=[8, 16, 32], r_values=[2.0],
                     num_seeds=10, seed_base=SEED_BASE)
     )
@@ -80,7 +76,7 @@ def main():
     print("mix r=2 done", flush=True)
 
     # exact diameters for the r=1 regime band
-    diam = run_diameter_sweep(
+    diam = run_sweep(
         SweepConfig(experiment="diameter", n_values=[20, 40, 80], r_values=[1.0],
                     num_seeds=10, seed_base=SEED_BASE)
     )
@@ -90,7 +86,7 @@ def main():
     # ball boundary and conductance scaling
     ball = {}
     for r, norm in ((4.0, "L"), (3.0, "LlnL"), (2.5, "L15")):
-        recs = run_conductance_sweep(
+        recs = run_sweep(
             SweepConfig(experiment="conductance", n_values=[20, 40, 80], r_values=[r],
                         num_seeds=10, seed_base=SEED_BASE, include_sweep_min=False)
         )
@@ -118,7 +114,7 @@ def main():
     print("ball scaling done", flush=True)
 
     # internal-degree statistic m_hat and the expansion pass rates
-    mh = run_expansion_sweep(
+    mh = run_sweep(
         SweepConfig(experiment="expansion", n_values=[10, 20, 40], r_values=[1.0],
                     num_seeds=3, seed_base=SEED_BASE, random_sets=500)
     )
@@ -128,7 +124,7 @@ def main():
     out["m_hat_max"] = {str(n): float(max(v)) for n, v in sorted(by_n.items())}
     print("m_hat done", flush=True)
 
-    vx = run_expansion_sweep(
+    vx = run_sweep(
         SweepConfig(experiment="expansion", n_values=[40], r_values=[2.0],
                     num_seeds=200, seed_base=SEED_BASE, random_sets=1)
     )
@@ -136,7 +132,7 @@ def main():
     out["vx_ratio_p5"] = float(np.percentile(ratios, 5))
     out["vx_ratio_floor"] = round(0.8 * float(np.percentile(ratios, 5)), 4)
 
-    ec = run_expansion_sweep(
+    ec = run_sweep(
         SweepConfig(experiment="expansion", n_values=[40], r_values=[1.0],
                     num_seeds=200, seed_base=SEED_BASE, random_sets=1)
     )
@@ -159,7 +155,7 @@ def main():
     # greedy routing growth contrast
     route = {}
     for r in (0.0, 2.0):
-        recs = run_routing_sweep(
+        recs = run_sweep(
             SweepConfig(experiment="routing", n_values=[64, 128, 256], r_values=[r],
                         num_seeds=2, seed_base=SEED_BASE, pairs=1000)
         )
@@ -171,7 +167,7 @@ def main():
     print("routing done", flush=True)
 
     # sweep-cut minimum vs ball conductance on a small grid
-    sm = run_conductance_sweep(
+    sm = run_sweep(
         SweepConfig(experiment="conductance", n_values=[8, 12], r_values=[1.0, 2.0],
                     num_seeds=10, seed_base=SEED_BASE, include_sweep_min=True)
     )

@@ -28,10 +28,7 @@ from swmix import (
     mixing_time,
     num_vertices,
     relaxation_bounds,
-    run_conductance_sweep,
-    run_diameter_sweep,
-    run_mixing_sweep,
-    run_wq_experiment,
+    run_sweep,
     sample_graph,
     sample_graph_naive,
     stationary,
@@ -52,35 +49,35 @@ def _report(capsys, k, ok, detail):
 def mix_r1_records():
     cfg = SweepConfig(experiment="mix", n_values=(8, 12, 16, 24, 32), r_values=(1.0,),
                       num_seeds=20, seed_base=0)
-    return run_mixing_sweep(cfg)
+    return run_sweep(cfg)
 
 
 @pytest.fixture(scope="module")
 def mix_r4_records():
     cfg = SweepConfig(experiment="mix", n_values=(8, 16, 32), r_values=(4.0,),
                       num_seeds=20, seed_base=0)
-    return run_mixing_sweep(cfg)
+    return run_sweep(cfg)
 
 
 @pytest.fixture(scope="module")
 def mix_r2_records():
     cfg = SweepConfig(experiment="mix", n_values=(8, 16, 32), r_values=(2.0,),
                       num_seeds=20, seed_base=0)
-    return run_mixing_sweep(cfg)
+    return run_sweep(cfg)
 
 
 @pytest.fixture(scope="module")
 def ball_records():
     cfg = SweepConfig(experiment="conductance", n_values=(20, 40, 80), r_values=(2.5, 3.0, 4.0),
                       num_seeds=50, seed_base=0, include_sweep_min=False)
-    return run_conductance_sweep(cfg)
+    return run_sweep(cfg)
 
 
 @pytest.fixture(scope="module")
 def diameter_records():
     cfg = SweepConfig(experiment="diameter", n_values=(20, 40, 80), r_values=(1.0,),
                       num_seeds=20, seed_base=0)
-    return run_diameter_sweep(cfg)
+    return run_sweep(cfg)
 
 
 def _medians_by_n(records, key):
@@ -339,7 +336,7 @@ def test_c11_ball_boundary_scaling(capsys, ball_records):
 def test_c12_box_set_count_bound(capsys):
     cfg = SweepConfig(experiment="wq", n_values=(6,), r_values=(2.5,), num_seeds=100,
                       seed_base=0, box_side=2, q_max=3)
-    records = run_wq_experiment(cfg)
+    records = run_sweep(cfg)
     ok = True
     parts = []
     for q in (1, 2, 3):

@@ -26,13 +26,7 @@ from swmix import (
     load_records,
     load_sweep_config,
     relaxation_bounds,
-    run_conductance_sweep,
-    run_diameter_sweep,
-    run_expansion_sweep,
-    run_mixing_sweep,
-    run_routing_sweep,
     run_sweep,
-    run_wq_experiment,
     sample_graph,
     torus_distance,
     torus_only_graph,
@@ -120,7 +114,7 @@ def small_mix_config(**over):
 
 def test_mixing_sweep_records():
     cfg = small_mix_config()
-    records = run_mixing_sweep(cfg)
+    records = run_sweep(cfg)
     assert len(records) == 2
     for rec in records:
         assert rec.experiment == "mix"
@@ -137,39 +131,31 @@ def test_mixing_sweep_records():
 
 
 def test_mixing_sweep_capacity_for_exact_starts():
-    cfg = small_mix_config(n_values=(20,))
     with pytest.raises(CapacityError, match="n=20"):
-        run_mixing_sweep(cfg)
-
-
-def test_runner_rejects_wrong_experiment():
-    cfg = small_mix_config()
-    with pytest.raises(ValueError):
-        run_conductance_sweep(cfg)
+        small_mix_config(n_values=(20,))
 
 
 def test_records_sorted_and_deterministic():
     cfg = small_mix_config(n_values=(4, 3), r_values=(2.0, 1.0), workers=4)
-    records = run_mixing_sweep(cfg)
+    records = run_sweep(cfg)
     keys = [(rec.n, rec.r, rec.seed) for rec in records]
     assert keys == sorted(keys)
-    assert run_mixing_sweep(cfg) == records
     assert run_sweep(cfg) == records
 
 
 def test_workers_env_override(monkeypatch):
     cfg = small_mix_config()
-    records = run_mixing_sweep(cfg)
+    records = run_sweep(cfg)
     monkeypatch.setenv("SWMIX_WORKERS", "1")
-    assert run_mixing_sweep(cfg) == records
+    assert run_sweep(cfg) == records
     monkeypatch.setenv("SWMIX_WORKERS", "0")
     with pytest.raises(ValueError):
-        run_mixing_sweep(cfg)
+        run_sweep(cfg)
 
 
 def test_emit_csv_round_trip(tmp_path):
     cfg = small_mix_config()
-    records = run_mixing_sweep(cfg)
+    records = run_sweep(cfg)
     path = tmp_path / "mix.csv"
     emit(records, "csv", path, cfg)
     loaded, manifest = load_records(path)
@@ -183,7 +169,7 @@ def test_emit_csv_round_trip(tmp_path):
 
 def test_emit_json_round_trip(tmp_path):
     cfg = small_mix_config()
-    records = run_mixing_sweep(cfg)
+    records = run_sweep(cfg)
     path = tmp_path / "mix.json"
     emit(records, "json", path, cfg)
     loaded, manifest = load_records(path)
@@ -194,14 +180,14 @@ def test_emit_json_round_trip(tmp_path):
 def test_emit_byte_identical_across_runs(tmp_path):
     cfg = small_mix_config(n_values=(3, 4), workers=4)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit(run_mixing_sweep(cfg), "csv", a, cfg)
-    emit(run_mixing_sweep(cfg), "csv", b, cfg)
+    emit(run_sweep(cfg), "csv", a, cfg)
+    emit(run_sweep(cfg), "csv", b, cfg)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_emit_errors(tmp_path):
     cfg = small_mix_config()
-    records = run_mixing_sweep(cfg)
+    records = run_sweep(cfg)
     path = tmp_path / "none.csv"
     with pytest.raises(ValueError):
         emit([], "csv", path, cfg)
@@ -346,7 +332,7 @@ def test_greedy_route_capped_matches_oracle():
 
 def test_routing_sweep_records():
     cfg = SweepConfig(experiment="routing", n_values=(8,), r_values=(1.0,), num_seeds=3, pairs=50)
-    records = run_routing_sweep(cfg)
+    records = run_sweep(cfg)
     assert len(records) == 3
     for rec in records:
         assert rec.values["pairs"] == 50
@@ -360,7 +346,7 @@ def test_routing_growth_contrast():
     # ballistic, inverse-square shortcuts bend the curve down
     grid = (64, 128, 256)
     cfg = SweepConfig(experiment="routing", n_values=grid, r_values=(0.0, 2.0), num_seeds=3, pairs=1000)
-    records = run_routing_sweep(cfg)
+    records = run_sweep(cfg)
     med = {}
     for rec in records:
         med.setdefault((rec.r, rec.n), []).append(rec.values["median_hops"])
@@ -373,7 +359,7 @@ def test_conductance_sweep_records():
     cfg = SweepConfig(
         experiment="conductance", n_values=(8, 12), r_values=(1.0, 2.0), num_seeds=5, seed_base=0,
     )
-    records = run_conductance_sweep(cfg)
+    records = run_sweep(cfg)
     assert len(records) == 20
     hits = 0
     for rec in records:
@@ -391,7 +377,7 @@ def test_conductance_sweep_complement_matches_direct():
     cfg = SweepConfig(
         experiment="conductance", n_values=(6,), r_values=(2.0,), num_seeds=2, include_sweep_min=False,
     )
-    records = run_conductance_sweep(cfg)
+    records = run_sweep(cfg)
     for rec in records:
         g = sample_graph(ModelParams(n=rec.n, r=rec.r, seed=rec.seed))
         ball = ball_set(rec.n, rec.values["ball_radius"])
@@ -400,21 +386,20 @@ def test_conductance_sweep_complement_matches_direct():
 
 
 def test_conductance_sweep_rejects_zero_radius():
-    cfg = SweepConfig(experiment="conductance", n_values=(1,), r_values=(1.0,), num_seeds=1, ball_frac=0.5)
     with pytest.raises(ValueError):
-        run_conductance_sweep(cfg)
+        SweepConfig(experiment="conductance", n_values=(1,), r_values=(1.0,), num_seeds=1, ball_frac=0.5)
 
 
 def test_diameter_sweep_records():
     cfg = SweepConfig(experiment="diameter", n_values=(5,), r_values=(3.0,), num_seeds=3)
-    for rec in run_diameter_sweep(cfg):
+    for rec in run_sweep(cfg):
         assert rec.values["diameter_lower"] <= rec.values["diameter"]
         assert rec.values["diameter"] <= 2 * rec.n
 
 
 def test_wq_experiment_records():
     cfg = SweepConfig(experiment="wq", n_values=(6,), r_values=(2.0,), num_seeds=3, box_side=2, q_max=2)
-    records = run_wq_experiment(cfg)
+    records = run_sweep(cfg)
     for rec in records:
         assert rec.values["w_1"] == rec.values["num_boxes"]
         assert rec.values["w_2"] >= rec.values["num_boxes"] - 1  # box graph is connected
@@ -424,12 +409,12 @@ def test_wq_experiment_records():
 def test_wq_experiment_capacity():
     cfg = SweepConfig(experiment="wq", n_values=(10,), r_values=(2.0,), num_seeds=1, box_side=1)
     with pytest.raises(CapacityError):
-        run_wq_experiment(cfg)
+        run_sweep(cfg)
 
 
 def test_expansion_sweep_records():
     cfg = SweepConfig(experiment="expansion", n_values=(8,), r_values=(2.0,), num_seeds=2, random_sets=20)
-    records = run_expansion_sweep(cfg)
+    records = run_sweep(cfg)
     for rec in records:
         assert rec.values["random_sets"] == 20
         assert rec.values["m_hat"] > 0.0
@@ -583,7 +568,7 @@ def test_greedy_routing_demo_runs():
 
 
 def test_mixing_demo_runs():
-    # runs mixing_time end to end through run_mixing_sweep; r = 4 cells reach t_mix ~ 250
+    # runs mixing_time end to end through run_sweep; r = 4 cells reach t_mix ~ 250
     out = run_demo("02_mixing_phase_transition.py")
     assert "\nr = 4.0: t_mix (roughly x4 per doubling of n when r > 2)\n" in out
     assert out.count("median t_mix") == 12
