@@ -14,10 +14,13 @@ it in batches for the bit-parallel kernel, and a vertex is skipped once a
 processed source proves its eccentricity is at most the best found.  The
 search stops when no vertex farther than half that best from the midpoint is
 left unproven.  At r = 1 and n = 24-48 it searches from 17-40% of the
-vertices.
+vertices, and returns the double sweep's lower bound with the diameter.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +40,13 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def bfs_distances(graph, source) -> np.ndarray:
-    """Hop distances from source to every vertex (-1 if unreachable)."""
+    """Hop distances from source to every vertex (-1 if unreachable).
+
+    A source that is not an integer raises TypeError; one out of range, ValueError.
+    """
+    source = operator.index(source)
+    if not 0 <= source < graph.num_vertices:
+        raise ValueError(f"source vertex {source} out of range")
     indptr, indices = graph.indptr, graph.indices
     dist = np.full(graph.num_vertices, -1, dtype=np.int64)
     dist[source] = 0
@@ -57,17 +66,29 @@ def bfs_distances(graph, source) -> np.ndarray:
     return dist
 
 
-def double_sweep(graph, start=0):
+def double_sweep(graph):
     """Two BFS sweeps; returns (far_vertex, distances_from_it, lower_bound).
 
     The far vertex is the first (smallest canonical index) vertex at maximum
-    distance from the start; the returned lower bound is its eccentricity,
+    distance from vertex 0; the returned lower bound is its eccentricity,
     which bounds the diameter from below.
     """
-    d0 = bfs_distances(graph, start)
+    d0 = bfs_distances(graph, 0)
     a = int(np.argmax(d0))
     da = bfs_distances(graph, a)
     return a, da, int(da.max())
+
+
+def _gather(values, columns, combine):
+    """Row k: `combine` over the rows of `values` at the neighbour ranks of rank k."""
+    # np.take copies 2-D rows several times faster than indexing; 1-D, the reverse
+    take = values.__getitem__ if values.ndim == 1 else partial(np.take, values, axis=0)
+    # every vertex has degree >= 4 from its torus edges, so slot 0 covers all
+    out = take(columns[0])
+    for col in columns[1:]:
+        head = out[: col.size]
+        combine(head, take(col), out=head)
+    return out
 
 
 def eccentricities(graph, sources) -> np.ndarray:
@@ -78,10 +99,16 @@ def eccentricities(graph, sources) -> np.ndarray:
     Each level ORs every vertex's neighbours' frontier words, masks off the
     bits already seen, and records the level as the eccentricity of every
     source whose bit reached a new vertex.
+
+    Sources that are not integers raise TypeError; a source out of range, or
+    sources that are not one-dimensional, ValueError.
     """
-    src = np.asarray(sources, dtype=np.int64)
-    if src.ndim != 1:
-        raise ValueError("sources must be one-dimensional")
+    src = np.asarray(sources)
+    if src.size and src.dtype.kind not in "iu":
+        raise TypeError(f"source vertices must be integers, got {src.dtype} values")
+    if src.ndim != 1 or src.size and not 0 <= src.min() <= src.max() < graph.num_vertices:
+        raise ValueError(f"sources must be one-dimensional vertex indices in [0, {graph.num_vertices})")
+    src = src.astype(np.int64)
     out = np.zeros(src.size, dtype=np.int64)
     # in rank space each level is one dense gather-OR per neighbour slot
     _, rank, columns = graph.neighbour_slots
@@ -94,10 +121,7 @@ def eccentricities(graph, sources) -> np.ndarray:
         unseen = ~front
         level = 0
         while True:
-            # every vertex has degree >= 4 from its torus edges, so slot 0 covers all
-            new = np.take(front, columns[0], axis=0)
-            for col in columns[1:]:
-                new[: col.size] |= np.take(front, col, axis=0)
+            new = _gather(front, columns, np.bitwise_or)
             new &= unseen
             # reducing contiguous rows is several times faster than strided columns
             grew = np.bitwise_or.reduce(np.ascontiguousarray(new.T), axis=1)
@@ -125,26 +149,22 @@ def _settled(graph, sources, ecc, lb) -> np.ndarray:
     # a repeated source (a, b and m may coincide) repeats its eccentricity too
     budget[rank[sources]] = lb - ecc
     for _ in range(int(budget.max())):
-        # every vertex has degree >= 4 from its torus edges, so slot 0 covers all
-        best = budget[columns[0]]
-        for col in columns[1:]:
-            np.maximum(best[: col.size], budget[col], out=best[: col.size])
-        budget = np.maximum(budget, best - 1)
+        budget = np.maximum(budget, _gather(budget, columns, np.maximum) - 1)
     return budget[rank] >= 0
 
 
-def exact_diameter(graph) -> int:
-    """Exact graph diameter: iFUB fringe order pruned by eccentricity bounds.
+def exact_diameter(graph) -> tuple:
+    """(diameter, lower): the exact diameter, and the double sweep's lower bound.
 
     A double sweep a -> b gives a lower bound lb and a midpoint m of a
-    shortest a-b path.  The other vertices are queued by decreasing d(m, .)
-    (iFUB, Crescenzi et al., TCS 2013) and processed in batches of
-    _ECC_BATCH sources through `eccentricities`; lb is the largest
-    eccentricity found so far.  A processed source s settles every v with
-    ecc(s) + d(s, v) <= lb, since then ecc(v) <= lb by the triangle
-    inequality (the bounding rule of Takes & Kosters, 2011); settled
-    vertices are skipped.  The search returns lb once every vertex with
-    d(m, v) > lb // 2 is settled.
+    shortest a-b path; `lower` is ecc(a), as `double_sweep` returns it.
+    The other vertices are queued by decreasing d(m, .) (iFUB, Crescenzi et
+    al., TCS 2013) and processed in batches of _ECC_BATCH sources through
+    `eccentricities`; lb is the largest eccentricity found so far.  A
+    processed source s settles every v with ecc(s) + d(s, v) <= lb, since
+    then ecc(v) <= lb by the triangle inequality (the bounding rule of Takes
+    & Kosters, 2011); settled vertices are skipped.  The search returns lb
+    once every vertex with d(m, v) > lb // 2 is settled.
 
     This is exact: suppose D > lb and d(u, v) = D.  Then d(m, u) + d(m, v)
     >= D > lb, so one of them, say u, has d(m, u) > lb / 2, and ecc(u) >= D
@@ -164,16 +184,19 @@ def exact_diameter(graph) -> int:
     dm = bfs_distances(graph, m)
     ecc_m = int(dm.max())
     lb = max(lb, ecc_m)
-    sources = np.array([a, b, m], dtype=np.int64)
-    ecc = np.array([ecc_a, ecc_b, ecc_m], dtype=np.int64)
+    sources = new = np.array([a, b, m], dtype=np.int64)
+    ecc = found = np.array([ecc_a, ecc_b, ecc_m], dtype=np.int64)
     fringe = np.argsort(-dm, kind="stable")
     while True:
-        # lb only grows and settled sets only grow, so the queue only shrinks
-        fringe = fringe[(dm[fringe] > lb // 2) & ~_settled(graph, sources, ecc, lb)[fringe]]
+        # lb only grows and settled sets only grow, so the queue only shrinks,
+        # and what older sources settle at an unchanged lb has already left it
+        fringe = fringe[(dm[fringe] > lb // 2) & ~_settled(graph, new, found, lb)[fringe]]
         if fringe.size == 0:
-            return lb
-        batch = fringe[:_ECC_BATCH]
-        found = eccentricities(graph, batch)
-        lb = max(lb, int(found.max()))
-        sources = np.concatenate((sources, batch))
+            return lb, ecc_a
+        new = fringe[:_ECC_BATCH]
+        found = eccentricities(graph, new)
+        sources = np.concatenate((sources, new))
         ecc = np.concatenate((ecc, found))
+        if found.max() > lb:
+            lb = int(found.max())
+            new, found = sources, ecc

@@ -24,6 +24,7 @@ from per-vertex neighbour bit masks and popcounts (Knuth, TAOCP 4A, 7.1.3).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import bfs
 from .errors import CapacityError
 from .generate import SmallWorldGraph
-from .torus import BoxPartition
+from .torus import BoxPartition, _as_mask, _check_n
 from .walk import second_eigenpair
 
 __all__ = [
@@ -56,20 +57,14 @@ __all__ = [
 # connected-only (2-vCPU Xeon, one BLAS thread); every vertex more doubles it.
 BRUTE_ALL_SUBSETS_MAX_VERTICES = 25
 _SCAN_CHUNK = 1 << 18  # codes per chunk: 2 MB per int64 column
-# Box-set counts at q = 4 take up to 0.11 s at Q = 64 (n = 8) and 0.64 s at Q = 49 (n = 15), both at r = 0.
+# Box-set counts at q = 4 take 2 ms at Q = 64 (n = 8) and 6 ms at Q = 49 (n = 15), both at r = 0
+# (2-vCPU Xeon); each box's neighbours are one uint64 mask, so 64 boxes is also its width.
 BOX_GRAPH_MAX_BOXES = 64
 BOX_SET_MAX_SIZE = 4
 # At n = 157 (N = 99,225), one seed each, exact_diameter takes 8.8 s at r = 1,
 # 6.1 s at r = 4 and 357 s on the bare torus (2-vCPU Xeon, one BLAS thread),
 # where every eccentricity equals the diameter and half the vertices are searched.
 DIAMETER_MAX_VERTICES = 100_000
-
-
-def _as_mask(graph: SmallWorldGraph, S) -> np.ndarray:
-    S = np.asarray(S)
-    if S.dtype != np.bool_ or S.shape != (graph.num_vertices,):
-        raise ValueError(f"vertex set must be a bool mask of shape ({graph.num_vertices},)")
-    return S
 
 
 def _cut_entries(graph: SmallWorldGraph, S: np.ndarray):
@@ -85,7 +80,7 @@ def _cut_entries(graph: SmallWorldGraph, S: np.ndarray):
 
 def edge_boundary(graph: SmallWorldGraph, S) -> np.ndarray:
     """Edges leaving S, as (k, 2) pairs (u, v) with u < v, lexsorted."""
-    S = _as_mask(graph, S)
+    S = _as_mask(S, graph.n)
     heads, tails = _cut_entries(graph, S)
     pairs = np.column_stack([heads, tails])
     pairs.sort(axis=1)
@@ -95,7 +90,7 @@ def edge_boundary(graph: SmallWorldGraph, S) -> np.ndarray:
 
 def vertex_boundary(graph: SmallWorldGraph, S) -> np.ndarray:
     """Bool mask of vertices outside S adjacent to at least one vertex of S."""
-    S = _as_mask(graph, S)
+    S = _as_mask(S, graph.n)
     _, tails = _cut_entries(graph, S)
     mask = np.zeros(graph.num_vertices, dtype=bool)
     mask[tails] = True
@@ -104,13 +99,13 @@ def vertex_boundary(graph: SmallWorldGraph, S) -> np.ndarray:
 
 def degree_sum(graph: SmallWorldGraph, S) -> int:
     """Sum of vertex degrees over S."""
-    S = _as_mask(graph, S)
+    S = _as_mask(S, graph.n)
     return int(graph.degrees[S].sum())
 
 
 def conductance(graph: SmallWorldGraph, S) -> float:
     """Conductance phi(S); raises ValueError for empty or full S."""
-    S = _as_mask(graph, S)
+    S = _as_mask(S, graph.n)
     size = int(S.sum())
     if size == 0 or size == graph.num_vertices:
         raise ValueError("conductance needs a proper nonempty vertex set")
@@ -138,7 +133,7 @@ class CutReport:
 
 def cut_report(graph: SmallWorldGraph, S) -> CutReport:
     """CutReport for the given proper nonempty vertex set."""
-    S = _as_mask(graph, S)
+    S = _as_mask(S, graph.n)
     size = int(S.sum())
     if size == 0 or size == graph.num_vertices:
         raise ValueError("cut report needs a proper nonempty vertex set")
@@ -183,7 +178,7 @@ def is_expanding(graph: SmallWorldGraph, S, epsilon, c) -> ExpansionVerdict:
     Raises:
         ValueError: if S is empty, epsilon is outside (0, 1), or c <= 0.
     """
-    S = _as_mask(graph, S)
+    S = _as_mask(S, graph.n)
     size = int(S.sum())
     if size == 0:
         raise ValueError("expansion check needs a nonempty vertex set")
@@ -210,44 +205,6 @@ def is_expanding(graph: SmallWorldGraph, S, epsilon, c) -> ExpansionVerdict:
         worst_boundary=int(prefix[sizes[worst] - 1]),
         required=float(c * sizes[worst]),
     )
-
-
-def _neighbor_sets(adjacency_pairs, count):
-    sets = [set() for _ in range(count)]
-    for a, b in adjacency_pairs:
-        sets[a].add(b)
-        sets[b].add(a)
-    return sets
-
-
-def _connected_sets(neighbor_sets, max_size):
-    """Yield every connected vertex set of size <= max_size exactly once.
-
-    Anchored growth: sets are grouped by their minimum element; candidates
-    are extended one vertex at a time, and a vertex rejected at some branch
-    is banned from the whole subtree, which makes the enumeration exact.
-    """
-    n = len(neighbor_sets)
-
-    def grow(members, cand, banned):
-        yield members
-        if len(members) == max_size:
-            return
-        cand = sorted(cand)
-        banned = set(banned)
-        for u in cand:
-            extra = {
-                w
-                for w in neighbor_sets[u]
-                if w > anchor and w not in members and w not in banned
-            }
-            rest = (set(cand) - {u} - banned) | (extra - set(cand))
-            yield from grow(members | {u}, rest - members, banned)
-            banned.add(u)
-
-    for anchor in range(n):
-        start_cand = {w for w in neighbor_sets[anchor] if w > anchor}
-        yield from grow(frozenset([anchor]), start_cand, set())
 
 
 def _is_connected(code: int, nbr) -> bool:
@@ -361,8 +318,7 @@ def ball_set(n, radius) -> np.ndarray:
     The ball has 1 + 2 * radius * (radius + 1) vertices; radius must lie in
     [1, n] so the ball never wraps onto itself.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"torus parameter n must be an integer >= 1, got {n!r}")
+    n = _check_n(n)
     if not isinstance(radius, (int, np.integer)) or not 1 <= radius <= n:
         raise ValueError(f"radius must be an integer in [1, n={n}], got {radius!r}")
     side = 2 * n + 1
@@ -376,15 +332,20 @@ def count_connected_box_sets(graph: SmallWorldGraph, partition: BoxPartition, q)
     Two boxes are adjacent when any graph edge (torus or long-range) joins
     them; a union of boxes is connected in G exactly when the picked boxes
     form a connected set in that box graph, since each box is internally
-    connected.  Counted by exhaustive anchored-growth enumeration.
+    connected.  Counted by anchored growth on box bit masks: each set grows
+    from its lowest box through the neighbour masks, and a box left out of
+    a branch is banned from the later branches, so every set is counted
+    once; the choices of the last box are one popcount of the candidates.
 
     Raises:
+        TypeError: if q is not an integer.
         CapacityError: if the partition has more than BOX_GRAPH_MAX_BOXES
             boxes or q exceeds BOX_SET_MAX_SIZE.
         ValueError: if q < 1 or the partition does not match the graph.
     """
     if partition.n != graph.n:
         raise ValueError("partition and graph have different torus parameters")
+    q = operator.index(q)
     if not 1 <= q:
         raise ValueError(f"q must be >= 1, got {q!r}")
     if q > BOX_SET_MAX_SIZE:
@@ -392,23 +353,32 @@ def count_connected_box_sets(graph: SmallWorldGraph, partition: BoxPartition, q)
     Q = partition.num_boxes
     if Q > BOX_GRAPH_MAX_BOXES:
         raise CapacityError(f"box graph capped at {BOX_GRAPH_MAX_BOXES} boxes, got {Q}")
-    labels = partition.labels
-    heads = np.repeat(np.arange(graph.num_vertices), graph.degrees)
-    lu = labels[heads]
-    lv = labels[graph.indices]
-    cross = lu != lv
-    pair_codes = np.unique(lu[cross].astype(np.int64) * Q + lv[cross])
-    pairs = np.column_stack([pair_codes // Q, pair_codes % Q])
-    nbr = _neighbor_sets(pairs, Q)
-    count = 0
-    for members in _connected_sets(nbr, q):
-        if len(members) == q:
-            count += 1
-    return count
+    bits = np.uint64(1) << partition.labels.astype(np.uint64)
+    nbr = np.zeros(Q, dtype=np.uint64)
+    # a box's own bit does no harm: every box is excluded before its mask is read
+    np.bitwise_or.at(nbr, np.repeat(partition.labels, graph.degrees), bits[graph.indices])
+    nbr = nbr.tolist()
+
+    def grow(cand, excluded, room):
+        # connected ways to add `room` boxes from cand, none of them excluded
+        if room <= 1:
+            return cand.bit_count() if room else 1
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            excluded |= low
+            total += grow((cand | nbr[low.bit_length() - 1]) & ~excluded, excluded, room - 1)
+        return total
+
+    # sets grouped by their lowest box b: boxes 0..b are excluded from the growth
+    return sum(grow(nbr[b] & -(2 << b), (2 << b) - 1, q - 1) for b in range(Q))
 
 
-def diameter(graph: SmallWorldGraph, exact=True) -> int:
-    """Graph diameter; exact by default, else a double-sweep lower bound.
+def diameter(graph: SmallWorldGraph) -> tuple:
+    """(diameter, lower): the exact diameter and the double-sweep lower bound.
+
+    Both come from one `bfs.exact_diameter` search.
 
     Raises:
         CapacityError: above DIAMETER_MAX_VERTICES vertices.
@@ -417,7 +387,4 @@ def diameter(graph: SmallWorldGraph, exact=True) -> int:
         raise CapacityError(
             f"diameter computation capped at {DIAMETER_MAX_VERTICES} vertices, got {graph.num_vertices}"
         )
-    if exact:
-        return bfs.exact_diameter(graph)
-    _, _, lower = bfs.double_sweep(graph)
-    return lower
+    return bfs.exact_diameter(graph)

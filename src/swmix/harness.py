@@ -293,12 +293,11 @@ def _measure_mix(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
     """
     est = mixing_time(graph, starts=cfg.starts)
     lam, _ = second_eigenpair(graph)
-    diam = expansion.diameter(graph, exact=True)
     return {
         "t_mix": int(est.t_mix),
         "t_mix_exact": int(est.exact),
         "gap": 1.0 - lam,
-        "diameter": int(diam),
+        "diameter": int(expansion.diameter(graph)[0]),
         "pi_min": float(stationary(graph).min()),
     }
 
@@ -329,10 +328,8 @@ def _measure_conductance(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
 
 def _measure_diameter(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
     """Exact diameter and the double-sweep lower bound of one graph."""
-    return {
-        "diameter": int(expansion.diameter(graph, exact=True)),
-        "diameter_lower": int(expansion.diameter(graph, exact=False)),
-    }
+    diam, lower = expansion.diameter(graph)
+    return {"diameter": int(diam), "diameter_lower": int(lower)}
 
 
 def _measure_wq(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
@@ -553,10 +550,7 @@ def emit(records, fmt, path, config: SweepConfig) -> None:
         lines.append("# manifest " + " ".join(f"{k}={v}" for k, v in manifest.items()))
         text = "\n".join(lines) + "\n"
     else:
-        payload = [
-            {c: (row[c] if c in _STR_FIELDS else _coerce(c, row[c])) for c in columns}
-            for row in rows
-        ]
+        payload = [{c: _coerce(c, row[c]) for c in columns} for row in rows]
         payload.append({"manifest": manifest})
         text = json.dumps(payload, indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

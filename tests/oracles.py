@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from swmix.expansion import CutReport, _connected_sets, _neighbor_sets
+from swmix.expansion import CutReport
 from swmix.generate import SmallWorldGraph, long_range_normalizer
 from swmix.torus import (
     index_to_coord,
@@ -233,6 +233,61 @@ def count_box_sets_brute(num_boxes: int, box_edges, max_size: int):
     return counts
 
 
+def neighbor_sets(adjacency_pairs, count):
+    """One Python set of neighbours per vertex, from undirected pairs."""
+    sets = [set() for _ in range(count)]
+    for a, b in adjacency_pairs:
+        sets[a].add(b)
+        sets[b].add(a)
+    return sets
+
+
+def connected_sets(neighbor_sets, max_size):
+    """Yield every connected vertex set of size <= max_size exactly once.
+
+    Anchored growth: sets are grouped by their minimum element; candidates
+    are extended one vertex at a time, and a vertex rejected at some branch
+    is banned from the whole subtree, which makes the enumeration exact.
+    """
+    n = len(neighbor_sets)
+
+    def grow(members, cand, banned):
+        yield members
+        if len(members) == max_size:
+            return
+        cand = sorted(cand)
+        banned = set(banned)
+        for u in cand:
+            extra = {
+                w
+                for w in neighbor_sets[u]
+                if w > anchor and w not in members and w not in banned
+            }
+            rest = (set(cand) - {u} - banned) | (extra - set(cand))
+            yield from grow(members | {u}, rest - members, banned)
+            banned.add(u)
+
+    for anchor in range(n):
+        start_cand = {w for w in neighbor_sets[anchor] if w > anchor}
+        yield from grow(frozenset([anchor]), start_cand, set())
+
+
+def count_box_sets_enumerated(graph, partition, max_size: int):
+    """Connected box-set counts per size, by set-based anchored-growth enumeration."""
+    Q = partition.num_boxes
+    labels = partition.labels
+    heads = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+    lu = labels[heads]
+    lv = labels[graph.indices]
+    cross = lu != lv
+    pair_codes = np.unique(lu[cross].astype(np.int64) * Q + lv[cross])
+    pairs = np.column_stack([pair_codes // Q, pair_codes % Q])
+    counts = dict.fromkeys(range(1, max_size + 1), 0)
+    for members in connected_sets(neighbor_sets(pairs, Q), max_size):
+        counts[len(members)] += 1
+    return counts
+
+
 def undirected_edges(graph) -> np.ndarray:
     """(|E|, 2) array of the CSR's entries (u, v) with u < v."""
     heads = np.repeat(np.arange(graph.num_vertices), graph.degrees)
@@ -280,9 +335,9 @@ def min_conductance_anchored_growth(graph):
     edges = undirected_edges(graph)
     degrees = graph.degrees
     total = 2 * graph.edge_count
-    nbr = _neighbor_sets(edges, N)
+    nbr = neighbor_sets(edges, N)
     best_phi, best_set = math.inf, None
-    for members in _connected_sets(nbr, N - 1):
+    for members in connected_sets(nbr, N - 1):
         idx = np.fromiter(members, dtype=np.int64)
         dsum = int(degrees[idx].sum())
         inside = np.zeros(N, dtype=bool)

@@ -403,6 +403,27 @@ def test_box_set_count_matches_bruteforce():
             assert count_connected_box_sets(g, part, q) == brute[q], (seed, q)
 
 
+@pytest.mark.parametrize("r", [0.0, 1.0])
+@pytest.mark.parametrize("n, ell", [(8, 2), (15, 4)], ids=["Q64", "Q49"])
+def test_box_set_count_matches_enumeration_at_caps(n, ell, r):
+    # the bit-mask growth against the set-based enumerator, at both cap corners
+    g = sample_graph(ModelParams(n=n, r=r, seed=3))
+    part = make_box_partition(n, ell)
+    assert part.num_boxes == {2: 64, 4: 49}[ell]
+    expect = oracles.count_box_sets_enumerated(g, part, 4)
+    assert [count_connected_box_sets(g, part, q) for q in (1, 2, 3, 4)] == [expect[q] for q in (1, 2, 3, 4)]
+
+
+def test_box_set_count_rejects_non_integer_q():
+    g = torus_only_graph(3)
+    part = make_box_partition(3, 2)
+    with pytest.raises(TypeError):
+        count_connected_box_sets(g, part, 2.5)
+    with pytest.raises(TypeError):
+        count_connected_box_sets(g, part, "2")
+    assert count_connected_box_sets(g, part, np.int64(2)) == count_connected_box_sets(g, part, 2)
+
+
 def test_box_set_capacity():
     g = torus_only_graph(10)
     part = make_box_partition(10, 2)  # 11x11 strips -> 121 boxes > 64
@@ -427,22 +448,19 @@ def test_wq_bound_small_sample():
 
 def test_diameter_pure_torus():
     for n in (2, 5, 9):
-        assert diameter(torus_only_graph(n), exact=True) == 2 * n
+        assert diameter(torus_only_graph(n))[0] == 2 * n
 
 
 def test_diameter_capacity():
     g = torus_only_graph(159)  # N = 101,761 > DIAMETER_MAX_VERTICES
     with pytest.raises(CapacityError):
         diameter(g)
-    with pytest.raises(CapacityError):
-        diameter(g, exact=False)
 
 
 def test_diameter_lower_bound_mode():
     for seed in (1, 2, 3):
         g = small_world(n=5, r=1.0, seed=seed)
-        lo = diameter(g, exact=False)
-        hi = diameter(g, exact=True)
+        hi, lo = diameter(g)
         assert lo <= hi
 
 
@@ -450,8 +468,8 @@ def test_diameter_matches_allpairs():
     for n, r, seed in ((2, 1.0, 1), (3, 2.0, 2), (4, 0.5, 3)):
         g = sample_graph(ModelParams(n=n, r=r, seed=seed))
         expect = oracles.diameter_allpairs(g.num_vertices, oracles.graph_edge_list(g))
-        assert diameter(g, exact=True) == expect
-        assert exact_diameter(g) == expect
+        assert diameter(g)[0] == expect
+        assert exact_diameter(g)[0] == expect
 
 
 def test_m_hat_cap_and_no_growth():

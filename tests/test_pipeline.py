@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import swmix
-from swmix import SweepConfig, emit, expansion, harness, run_sweep
+from swmix import SweepConfig, bfs, emit, expansion, harness, run_sweep
 from swmix.cli import _config_from_args, build_parser
 
 GOLDEN_CONFIGS = {
@@ -72,14 +72,15 @@ def test_every_experiment_has_a_golden_config():
     assert set(GOLDEN_CONFIGS) == set(harness.EXPERIMENTS)
 
 
-# Names in harness that the layer tracer rebinds, besides expansion.diameter.
+# Names in harness that the layer tracer rebinds, besides expansion.diameter
+# and bfs.double_sweep.
 HARNESS_TRACED = ("sample_graph", "mixing_time", "second_eigenpair", "greedy_route")
 
 # Calls per cell that run_sweep must make through each traced name; absent
-# names must be called zero times.
+# names must be called zero times.  One diameter call answers both bounds.
 TRACED_CALLS_PER_CELL = {
-    "mix": {"sample_graph": 1, "mixing_time": 1, "second_eigenpair": 1, "diameter": 1},
-    "diameter": {"sample_graph": 1, "diameter": 2},
+    "mix": {"sample_graph": 1, "mixing_time": 1, "second_eigenpair": 1, "diameter": 1, "double_sweep": 1},
+    "diameter": {"sample_graph": 1, "diameter": 1, "double_sweep": 1},
     "routing": {"sample_graph": 1, "greedy_route": 20},
     "conductance": {"sample_graph": 1},
     "wq": {"sample_graph": 1},
@@ -103,6 +104,7 @@ def test_run_sweep_calls_traced_names_at_call_time(experiment, monkeypatch):
     for name in HARNESS_TRACED:
         counting(harness, name)
     counting(expansion, "diameter")
+    counting(bfs, "double_sweep")
 
     run_grid = harness._run_grid
 
@@ -123,7 +125,7 @@ def test_run_sweep_calls_traced_names_at_call_time(experiment, monkeypatch):
     assert calls.count("_run_grid") == 1
     assert calls.count("cell") == cells
     expected = TRACED_CALLS_PER_CELL[experiment]
-    for name in (*HARNESS_TRACED, "diameter"):
+    for name in (*HARNESS_TRACED, "diameter", "double_sweep"):
         assert calls.count(name) == expected.get(name, 0) * cells, name
 
 
