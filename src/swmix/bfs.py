@@ -19,10 +19,11 @@ vertices, and returns the double sweep's lower bound with the diameter.
 
 from __future__ import annotations
 
-import operator
 from functools import partial
 
 import numpy as np
+
+from .torus import _vertex, _vertices
 
 __all__ = ["bfs_distances", "double_sweep", "eccentricities", "exact_diameter"]
 
@@ -40,13 +41,8 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def bfs_distances(graph, source) -> np.ndarray:
-    """Hop distances from source to every vertex (-1 if unreachable).
-
-    A source that is not an integer raises TypeError; one out of range, ValueError.
-    """
-    source = operator.index(source)
-    if not 0 <= source < graph.num_vertices:
-        raise ValueError(f"source vertex {source} out of range")
+    """Hop distances from source to every vertex (-1 if unreachable)."""
+    source = _vertex(source, graph.num_vertices, "source vertex")
     indptr, indices = graph.indptr, graph.indices
     dist = np.full(graph.num_vertices, -1, dtype=np.int64)
     dist[source] = 0
@@ -98,17 +94,12 @@ def eccentricities(graph, sources) -> np.ndarray:
     to a uint64 word (the bit-parallel BFS of Akiba, Iwata & Yoshida, 2013).
     Each level ORs every vertex's neighbours' frontier words, masks off the
     bits already seen, and records the level as the eccentricity of every
-    source whose bit reached a new vertex.
-
-    Sources that are not integers raise TypeError; a source out of range, or
-    sources that are not one-dimensional, ValueError.
+    source whose bit reached a new vertex.  Sources that are not
+    one-dimensional raise ValueError.
     """
-    src = np.asarray(sources)
-    if src.size and src.dtype.kind not in "iu":
-        raise TypeError(f"source vertices must be integers, got {src.dtype} values")
-    if src.ndim != 1 or src.size and not 0 <= src.min() <= src.max() < graph.num_vertices:
-        raise ValueError(f"sources must be one-dimensional vertex indices in [0, {graph.num_vertices})")
-    src = src.astype(np.int64)
+    src = _vertices(sources, graph.num_vertices, "sources")
+    if src.ndim != 1:
+        raise ValueError(f"sources must be one-dimensional, got shape {src.shape}")
     out = np.zeros(src.size, dtype=np.int64)
     # in rank space each level is one dense gather-OR per neighbour slot
     _, rank, columns = graph.neighbour_slots

@@ -27,15 +27,20 @@ EXIT_IO = 4
 EXIT_CONVERGENCE = 5
 
 
-def _add_cell_args(parser: argparse.ArgumentParser) -> None:
+def _cell_parser(sub, name: str, experiment: str, summary: str) -> argparse.ArgumentParser:
+    # An omitted flag stays out of the namespace, so SweepConfig supplies its default;
+    # only --seeds has one here, since num_seeds has no usable default.
+    parser = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+    parser.set_defaults(experiment=experiment)
     parser.add_argument("--n", type=int, required=True, help="torus parameter (N = (2n+1)^2 vertices)")
     parser.add_argument("--r", type=float, required=True, help="long-range distance exponent")
     parser.add_argument("--seeds", type=int, default=10, dest="num_seeds", metavar="SEEDS",
                         help="number of derived replicate seeds")
-    parser.add_argument("--seed-base", type=int, default=0, help="base for per-replicate seed derivation")
-    parser.add_argument("--workers", type=int, default=None, help="thread budget (default: cpu count, max 8)")
+    parser.add_argument("--seed-base", type=int, help="base for per-replicate seed derivation")
+    parser.add_argument("--workers", type=int, help="thread budget (default: cpu count, max 8)")
     parser.add_argument("--out", required=True, dest="output", metavar="OUT",
                         help="output file (.json for JSON, else CSV)")
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,31 +57,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
-    mix = sub.add_parser("mix", help="mixing time, spectral gap, and diameter per seed")
-    _add_cell_args(mix)
-    mix.set_defaults(experiment="mix")
-    mix.add_argument("--starts", choices=("auto", "all", "heuristic"), default="auto",
-                     help="mixing start policy")
+    mix = _cell_parser(sub, "mix", "mix", "mixing time, spectral gap, and diameter per seed")
+    mix.add_argument("--starts", choices=("auto", "all", "heuristic"), help="mixing start policy")
 
-    con = sub.add_parser("conductance", help="ball-cut conductance report per seed")
-    _add_cell_args(con)
-    con.set_defaults(experiment="conductance")
-    con.add_argument("--ball-frac", type=float, default=0.9, help="ball radius fraction of n")
+    con = _cell_parser(sub, "conductance", "conductance", "ball-cut conductance report per seed")
+    con.add_argument("--ball-frac", type=float, help="ball radius fraction of n")
     con.add_argument("--no-sweep-min", action="store_false", dest="include_sweep_min",
                      help="skip the spectral sweep-cut minimum column")
 
-    wq = sub.add_parser("wq", help="connected box-set counts per seed")
-    _add_cell_args(wq)
-    wq.set_defaults(experiment="wq")
-    wq.add_argument("--ell", type=int, default=2, dest="box_side", metavar="ELL",
+    wq = _cell_parser(sub, "wq", "wq", "connected box-set counts per seed")
+    wq.add_argument("--ell", type=int, dest="box_side", metavar="ELL",
                     help="nominal box side of the partition")
-    wq.add_argument("--qmax", type=int, default=3, dest="q_max", metavar="QMAX",
-                    help="largest box-set size counted")
+    wq.add_argument("--qmax", type=int, dest="q_max", metavar="QMAX", help="largest box-set size counted")
 
-    route = sub.add_parser("route", help="greedy routing hop statistics per seed")
-    _add_cell_args(route)
-    route.set_defaults(experiment="routing")
-    route.add_argument("--pairs", type=int, default=100, help="random source/target pairs per seed")
+    route = _cell_parser(sub, "route", "routing", "greedy routing hop statistics per seed")
+    route.add_argument("--pairs", type=int, help="random source/target pairs per seed")
 
     swp = sub.add_parser("sweep", help="run a full (n, r) grid described by a config file")
     swp.add_argument("--config", required=True, help="flat key = value config file")

@@ -60,6 +60,9 @@ _SCAN_CHUNK = 1 << 18  # codes per chunk: 2 MB per int64 column
 # Box-set counts at q = 4 take 2 ms at Q = 64 (n = 8) and 6 ms at Q = 49 (n = 15), both at r = 0
 # (2-vCPU Xeon); each box's neighbours are one uint64 mask, so 64 boxes is also its width.
 BOX_GRAPH_MAX_BOXES = 64
+# Each step of q costs about 10x: in one run q = 4, 5, 6 took 0.9 ms, 10 ms, 70 ms at Q = 64 and
+# 2.8 ms, 38 ms, 0.40 s at Q = 49 (seed 0, r = 0).  The cap stays at 4 because
+# test_box_set_capacity pins the CapacityError at q = 5.
 BOX_SET_MAX_SIZE = 4
 # At n = 157 (N = 99,225), one seed each, exact_diameter takes 8.8 s at r = 1,
 # 6.1 s at r = 4 and 357 s on the bare torus (2-vCPU Xeon, one BLAS thread),
@@ -105,12 +108,7 @@ def degree_sum(graph: SmallWorldGraph, S) -> int:
 
 def conductance(graph: SmallWorldGraph, S) -> float:
     """Conductance phi(S); raises ValueError for empty or full S."""
-    S = _as_mask(S, graph.n)
-    size = int(S.sum())
-    if size == 0 or size == graph.num_vertices:
-        raise ValueError("conductance needs a proper nonempty vertex set")
-    _, tails = _cut_entries(graph, S)
-    return _conductance_from(graph, int(tails.size), int(graph.degrees[S].sum()))
+    return cut_report(graph, S).conductance
 
 
 def _conductance_from(graph: SmallWorldGraph, cut, dsum):
@@ -136,7 +134,7 @@ def cut_report(graph: SmallWorldGraph, S) -> CutReport:
     S = _as_mask(S, graph.n)
     size = int(S.sum())
     if size == 0 or size == graph.num_vertices:
-        raise ValueError("cut report needs a proper nonempty vertex set")
+        raise ValueError("a cut needs a proper nonempty vertex set")
     _, tails = _cut_entries(graph, S)
     cut = int(tails.size)
     vb = int(np.unique(tails).size)

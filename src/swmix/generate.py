@@ -30,11 +30,17 @@ repeats one key at a time picks, because two classes never share a key (their
 pairs lie at different torus distances) and the first occurrence of a key in
 draw order is the one a one-at-a-time loop would meet first.
 
-Randomness. Streams are derived from the 64-bit instance seed with the
-counter-based Philox generator: distance class d uses
-``SeedSequence(entropy=seed, spawn_key=(d,))`` and the reference sampler uses
-``spawn_key=(1,)``, so every class is reproducible independently of
-evaluation order.
+Randomness. Every draw in the package comes from ``_stream(seed, *spawn_key)``,
+a counter-based Philox stream keyed by (seed, purpose) and so reproducible
+independently of evaluation order.  The spawn keys, one purpose each:
+
+    (d,)     sample_graph: distance class d, for 2 <= d <= 2n
+    (1,)     sample_graph_naive: the per-pair uniforms
+    (0, 1)   walk.heuristic_start_vertices: the uniform start vertices
+    (0, 2)   walk.second_eigenpair: the Lanczos start vector
+    (0, 3)   the routing experiment: source and target pairs
+    (0, 4)   the expansion experiment: random sets and boxes
+    (0, 5)   tests/data/run_pilot.py: random connected sets
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ import scipy.sparse
 
 from .errors import CapacityError, GraphFormatError
 from .torus import (
+    _check_n,
     num_vertices,
     ring_size,
     ring_table,
@@ -91,16 +98,24 @@ class ModelParams:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", _check_n(self.n))
         r = float(self.r)
         if math.isnan(r) or r < 0:
             raise ValueError(f"r must be a real number >= 0, got {self.r!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _seed64(self.seed, "seed"))
+
+
+def _seed64(value, what: str) -> int:
+    """value as a Python int; ValueError unless it is an integer in [0, 2^64)."""
+    if not isinstance(value, (int, np.integer)) or not 0 <= value < 2**64:
+        raise ValueError(f"{what} must be a 64-bit unsigned integer, got {value!r}")
+    return int(value)
+
+
+def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    """The Philox stream of one purpose; the module docstring lists the spawn keys."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
 
 
 def long_range_normalizer(n, r) -> float:
@@ -117,18 +132,25 @@ def long_range_normalizer(n, r) -> float:
     return math.fsum(ring_size(d, n) * d**-r for d in range(2, 2 * n + 1))
 
 
+def _sampling_normalizer(n, r) -> float:
+    """Z for drawing long-range edges; ValueError where it is 0.0 (r = inf, or every d^(-r) underflowed)."""
+    z = long_range_normalizer(n, r)
+    if z == 0.0:
+        why = "sampling needs a finite exponent" if math.isinf(float(r)) else "normalizer underflowed to zero"
+        raise ValueError(f"{why} at r={r}; torus_only_graph gives the bare torus")
+    return z
+
+
 def edge_probability(n, r, distance) -> float:
     """Probability distance^(-r) / Z of a long-range edge at the given distance.
 
     Raises:
-        ValueError: if distance is outside [2, 2n] or r is not finite.
+        ValueError: if distance is outside [2, 2n], r is not finite, or Z
+            underflows to zero.
     """
     if not 2 <= distance <= 2 * n:
         raise ValueError(f"long-range distance must lie in [2, 2n = {2 * n}], got {distance}")
-    z = long_range_normalizer(n, r)
-    if not math.isfinite(float(r)) or z == 0.0:
-        raise ValueError(f"edge probabilities need a finite exponent, got r={r!r}")
-    return float(distance) ** -float(r) / z
+    return float(distance) ** -float(r) / _sampling_normalizer(n, r)
 
 
 @dataclass(frozen=True)
@@ -197,10 +219,6 @@ class SmallWorldGraph:
         return order, rank, columns
 
 
-def _class_rng(seed: int, key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(key,))))
-
-
 def _assemble(params: ModelParams, long_pairs: np.ndarray, normalizer: float) -> SmallWorldGraph:
     """Build the CSR graph from the torus plus the given long-range pairs.
 
@@ -244,7 +262,7 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
     N = num_vertices(n)
     side = 2 * n + 1
     dists = range(2, 2 * n + 1)
-    rngs = [_class_rng(params.seed, d) for d in dists]
+    rngs = [_stream(params.seed, d) for d in dists]
     sizes = [ring_size(d, n) for d in dists]
     need = np.array(
         [int(rng.binomial(N * rs // 2, float(d) ** -r / z)) for rng, rs, d in zip(rngs, sizes, dists)],
@@ -285,13 +303,9 @@ def sample_graph(params: ModelParams) -> SmallWorldGraph:
 
     Raises:
         ValueError: if r is not finite (use :func:`torus_only_graph` for the
-            degenerate bare torus).
+            degenerate bare torus) or the normalizer underflows to zero.
     """
-    if not math.isfinite(params.r):
-        raise ValueError("sample_graph needs a finite exponent r")
-    z = long_range_normalizer(params.n, params.r)
-    if z == 0.0:
-        raise ValueError(f"normalizer underflowed to zero for r={params.r}; exponent too large")
+    z = _sampling_normalizer(params.n, params.r)
     pair_keys = _draw_long_range_keys(params, z)
     return _assemble(params, np.column_stack(np.divmod(pair_keys, num_vertices(params.n))), z)
 
@@ -304,10 +318,9 @@ def sample_graph_naive(params: ModelParams) -> SmallWorldGraph:
 
     Raises:
         CapacityError: if N exceeds NAIVE_SAMPLER_MAX_VERTICES.
-        ValueError: if r is not finite.
+        ValueError: if r is not finite or the normalizer underflows to zero.
     """
-    if not math.isfinite(params.r):
-        raise ValueError("sample_graph_naive needs a finite exponent r")
+    z = _sampling_normalizer(params.n, params.r)
     n, r = params.n, params.r
     N = num_vertices(n)
     if N > NAIVE_SAMPLER_MAX_VERTICES:
@@ -315,9 +328,8 @@ def sample_graph_naive(params: ModelParams) -> SmallWorldGraph:
             f"reference sampler is quadratic; N={N} exceeds cap {NAIVE_SAMPLER_MAX_VERTICES}"
         )
     side = 2 * n + 1
-    z = long_range_normalizer(n, r)
     gx, gy = np.divmod(np.arange(N), side)
-    rng = _class_rng(params.seed, 1)
+    rng = _stream(params.seed, 1)
     long_pairs = [np.empty((0, 2), np.int64)]
     # The upper triangle goes in blocks of rows, in row-major order.  Each
     # rng.random call continues the same stream, so every eligible pair meets

@@ -4,14 +4,13 @@ Each grid cell (n, r, seed) is measured independently.  When seeds are not
 listed explicitly, the per-cell seed of replicate k is the first 8 bytes of
 sha256("{base}:{n}:{r_hex}:{k}") with r in exact float hex, so replicates are
 independent and any single cell can be reproduced in isolation.  Auxiliary
-random streams inside a cell reuse the instance seed under reserved Philox
-spawn keys: routing pair selection uses spawn_key (0, 3) and random-set
-expansion statistics use (0, 4); graph sampling owns keys (d,) for distance
-classes d >= 2 plus (1,), and the walk heuristics own (0, 1) and (0, 2).
+random streams inside a cell are keyed by the instance seed and a purpose;
+the spawn-key table is in the :mod:`swmix.generate` docstring.
 
 Every experiment runs through one pipeline, :func:`run_sweep`: each cell
 samples its graph, measures it with the experiment's ``_measure_*`` function,
-and wraps the returned columns in an ExperimentRecord.
+and wraps the returned columns in an ExperimentRecord, which gives every
+column its type (integer, real or string) by name.
 
 Cells run under a bounded thread pool (the SWMIX_WORKERS environment
 variable overrides the width) and records are sorted by (n, r, seed) before
@@ -39,8 +38,8 @@ import numpy as np
 from . import expansion
 from ._version import __version__
 from .errors import CapacityError
-from .generate import ModelParams, SmallWorldGraph, sample_graph
-from .torus import make_box_partition, mask_from_indices, num_vertices
+from .generate import ModelParams, SmallWorldGraph, _seed64, _stream, sample_graph
+from .torus import _check_n, _vertex, make_box_partition, mask_from_indices, num_vertices
 from .walk import EXACT_STARTS_MAX_VERTICES, mixing_time, second_eigenpair, stationary
 
 __all__ = [
@@ -62,7 +61,7 @@ WORKERS_ENV_VAR = "SWMIX_WORKERS"
 
 _COMMON_FIELDS = ("experiment", "n", "r", "seed", "num_vertices", "edge_count", "normalizer", "version")
 
-# Column typing for parsing emitted files back; w_* columns are also integers.
+# Column types, applied by ExperimentRecord; w_* columns are also integers, the rest reals.
 _STR_FIELDS = frozenset({"experiment", "version"})
 _INT_FIELDS = frozenset(
     {
@@ -87,6 +86,14 @@ _INT_FIELDS = frozenset(
         "ec_holds",
     }
 )
+
+
+def _coerce(column, value):
+    if column in _STR_FIELDS:
+        return str(value)
+    if column in _INT_FIELDS or column.startswith("w_"):
+        return int(value)
+    return float(value)
 
 
 def derive_seed(base, n, r, replicate) -> int:
@@ -136,39 +143,32 @@ class SweepConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
-        n_values = tuple(self.n_values)
-        if not n_values or any(not isinstance(v, (int, np.integer)) or v < 1 for v in n_values):
-            raise ValueError(f"n_values must be a nonempty list of integers >= 1, got {self.n_values!r}")
+        n_values = tuple(_check_n(v) for v in self.n_values)
+        if not n_values:
+            raise ValueError("n_values must be a nonempty list of integers >= 1")
         r_values = tuple(float(v) for v in self.r_values)
         if not r_values or any(math.isnan(v) or v < 0 for v in r_values):
             raise ValueError(f"r_values must be a nonempty list of reals >= 0, got {self.r_values!r}")
-        object.__setattr__(self, "n_values", tuple(int(v) for v in n_values))
+        object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "r_values", r_values)
         if self.seeds is not None:
-            seeds = tuple(int(s) for s in self.seeds)
-            if not seeds or any(not 0 <= s < 2**64 for s in seeds):
-                raise ValueError("explicit seeds must be a nonempty list of 64-bit unsigned integers")
+            seeds = tuple(_seed64(s, "explicit seed") for s in self.seeds)
+            if not seeds:
+                raise ValueError("explicit seeds must be a nonempty list")
             if self.num_seeds:
                 raise ValueError("give either explicit seeds or num_seeds, not both")
             object.__setattr__(self, "seeds", seeds)
         else:
-            if not isinstance(self.num_seeds, (int, np.integer)) or self.num_seeds < 1:
-                raise ValueError("num_seeds must be >= 1 when no explicit seeds are given")
-            object.__setattr__(self, "num_seeds", int(self.num_seeds))
-        if not isinstance(self.seed_base, (int, np.integer)) or not 0 <= self.seed_base < 2**64:
-            raise ValueError(f"seed_base must be a 64-bit unsigned integer, got {self.seed_base!r}")
+            object.__setattr__(self, "num_seeds", _check_n(self.num_seeds, "num_seeds"))
+        object.__setattr__(self, "seed_base", _seed64(self.seed_base, "seed_base"))
         if self.starts not in ("auto", "all", "heuristic"):
             raise ValueError(f"starts must be 'auto', 'all', or 'heuristic', got {self.starts!r}")
-        if self.workers is not None and (not isinstance(self.workers, (int, np.integer)) or self.workers < 1):
-            raise ValueError(f"workers must be a positive integer, got {self.workers!r}")
         if not 0 < float(self.ball_frac) < 1:
             raise ValueError(f"ball_frac must lie in (0, 1), got {self.ball_frac!r}")
         object.__setattr__(self, "ball_frac", float(self.ball_frac))
-        for name in ("box_side", "q_max", "pairs", "random_sets"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
-            object.__setattr__(self, name, int(v))
+        optional = ["workers"] if self.workers is not None else []
+        for name in ["box_side", "q_max", "pairs", "random_sets"] + optional:
+            object.__setattr__(self, name, _check_n(getattr(self, name), name))
         if self.experiment == "mix" and self.starts == "all":
             for n in self.n_values:
                 if num_vertices(n) > EXACT_STARTS_MAX_VERTICES:
@@ -209,7 +209,9 @@ class ExperimentRecord:
     """One measured grid cell; ``values`` holds the experiment-specific fields.
 
     The common fields (n, r, seed, sizes, normalizer, package version) are
-    enough provenance to regenerate the record bit for bit.
+    enough provenance to regenerate the record bit for bit.  Construction
+    gives every column its type by name (str, int or float), for records
+    measured, loaded or built by hand alike.
     """
 
     experiment: str
@@ -221,6 +223,11 @@ class ExperimentRecord:
     normalizer: float
     version: str
     values: dict
+
+    def __post_init__(self):
+        for name in _COMMON_FIELDS:
+            object.__setattr__(self, name, _coerce(name, getattr(self, name)))
+        object.__setattr__(self, "values", {k: _coerce(k, v) for k, v in self.values.items()})
 
     def as_row(self) -> dict:
         """Flat column -> value mapping, common fields first."""
@@ -294,11 +301,11 @@ def _measure_mix(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
     est = mixing_time(graph, starts=cfg.starts)
     lam, _ = second_eigenpair(graph)
     return {
-        "t_mix": int(est.t_mix),
-        "t_mix_exact": int(est.exact),
+        "t_mix": est.t_mix,
+        "t_mix_exact": est.exact,
         "gap": 1.0 - lam,
-        "diameter": int(expansion.diameter(graph)[0]),
-        "pi_min": float(stationary(graph).min()),
+        "diameter": expansion.diameter(graph)[0],
+        "pi_min": stationary(graph).min(),
     }
 
 
@@ -329,7 +336,7 @@ def _measure_conductance(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
 def _measure_diameter(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
     """Exact diameter and the double-sweep lower bound of one graph."""
     diam, lower = expansion.diameter(graph)
-    return {"diameter": int(diam), "diameter_lower": int(lower)}
+    return {"diameter": diam, "diameter_lower": lower}
 
 
 def _measure_wq(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
@@ -345,7 +352,7 @@ def _measure_wq(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
     partition = make_box_partition(graph.n, cfg.box_side)
     values = {"box_side": cfg.box_side, "num_boxes": partition.num_boxes}
     for q in range(1, cfg.q_max + 1):
-        values[f"w_{q}"] = int(expansion.count_connected_box_sets(graph, partition, q))
+        values[f"w_{q}"] = expansion.count_connected_box_sets(graph, partition, q)
         values[f"bound_{q}"] = float(graph.n) ** 2 * (40.0 * cfg.box_side**2) ** q
     return values
 
@@ -365,19 +372,14 @@ def greedy_route(graph: SmallWorldGraph, source, target, hop_cap=None) -> Routin
     validation: about 1.7 us at mean degree 5 on a 2-vCPU Xeon VM.
 
     Raises:
-        TypeError: for a source or target that is not an integer (a float
-            such as 3.7 is rejected rather than truncated).
+        TypeError: for a source, target or hop_cap that is not an integer (a
+            float such as 3.7 is rejected rather than truncated).
         ValueError: for out-of-range vertices or hop_cap < 1.
     """
     N = graph.num_vertices
-    source = operator.index(source)
-    target = operator.index(target)
-    if not 0 <= source < N:
-        raise ValueError(f"source vertex {source} out of range")
-    if not 0 <= target < N:
-        raise ValueError(f"target vertex {target} out of range")
-    if hop_cap is None:
-        hop_cap = 10 * N
+    source = _vertex(source, N, "source vertex")
+    target = _vertex(target, N, "target vertex")
+    hop_cap = 10 * N if hop_cap is None else operator.index(hop_cap)
     if hop_cap < 1:
         raise ValueError(f"hop_cap must be >= 1, got {hop_cap!r}")
     n = graph.n
@@ -411,20 +413,14 @@ def _measure_routing(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
     Pair selection draws from the instance seed under spawn key (0, 3);
     records carry the delivered count and the median and max hop counts.
     """
-    ss = np.random.SeedSequence(entropy=graph.params.seed, spawn_key=(0, 3))
-    rng = np.random.Generator(np.random.Philox(ss))
-    pairs = rng.integers(0, graph.num_vertices, size=(cfg.pairs, 2))
-    hops = []
-    delivered = 0
-    for s, t in pairs:
-        result = greedy_route(graph, int(s), int(t))
-        hops.append(result.hops)
-        delivered += int(result.delivered)
+    pairs = _stream(graph.params.seed, 0, 3).integers(0, graph.num_vertices, size=(cfg.pairs, 2))
+    results = [greedy_route(graph, s, t) for s, t in pairs.tolist()]
+    hops = [result.hops for result in results]
     return {
         "pairs": cfg.pairs,
-        "delivered_count": delivered,
-        "median_hops": float(statistics.median(hops)),
-        "max_hops": int(max(hops)),
+        "delivered_count": sum(result.delivered for result in results),
+        "median_hops": statistics.median(hops),
+        "max_hops": max(hops),
     }
 
 
@@ -443,8 +439,7 @@ def _measure_expansion(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
     """
     n = graph.n
     N = graph.num_vertices
-    ss = np.random.SeedSequence(entropy=graph.params.seed, spawn_key=(0, 4))
-    rng = np.random.Generator(np.random.Philox(ss))
+    rng = _stream(graph.params.seed, 0, 4)
 
     m_hat = 0.0
     for _ in range(cfg.random_sets):
@@ -476,7 +471,7 @@ def _measure_expansion(graph: SmallWorldGraph, cfg: SweepConfig) -> dict:
         "m_hat": m_hat,
         "vx_alpha": alpha,
         "vx_ratio": vx_ratio,
-        "ec_holds": int(verdict.holds),
+        "ec_holds": verdict.holds,
     }
 
 
@@ -507,16 +502,6 @@ def run_sweep(cfg: SweepConfig) -> list:
     return _run_grid(cfg, cell)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
 def emit(records, fmt, path, config: SweepConfig) -> None:
     """Write records plus a reproducibility manifest to path.
 
@@ -535,10 +520,9 @@ def emit(records, fmt, path, config: SweepConfig) -> None:
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     rows = [record.as_row() for record in records]
-    columns = list(rows[0].keys())
-    for row in rows[1:]:
-        if list(row.keys()) != columns:
-            raise ValueError("records do not share a single column set")
+    columns = list(rows[0])
+    if any(list(row) != columns for row in rows):
+        raise ValueError("records do not share a single column set")
     manifest = {
         "config_sha256": config_digest(config),
         "seed_base": config.seed_base,
@@ -546,23 +530,15 @@ def emit(records, fmt, path, config: SweepConfig) -> None:
     }
     if fmt == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_format_cell(row[c]) for c in columns) for row in rows)
+        # a record's cells are str, int or float
+        lines.extend(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row.values())
+                     for row in rows)
         lines.append("# manifest " + " ".join(f"{k}={v}" for k, v in manifest.items()))
         text = "\n".join(lines) + "\n"
     else:
-        payload = [{c: _coerce(c, row[c]) for c in columns} for row in rows]
-        payload.append({"manifest": manifest})
-        text = json.dumps(payload, indent=1) + "\n"
+        text = json.dumps(rows + [{"manifest": manifest}], indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def _coerce(column, value):
-    if column in _STR_FIELDS:
-        return str(value)
-    if column in _INT_FIELDS or column.startswith("w_"):
-        return int(value)
-    return float(value)
 
 
 def _record_from_row(row: dict) -> ExperimentRecord:
@@ -586,7 +562,7 @@ def load_records(path):
         if not payload or "manifest" not in payload[-1]:
             raise ValueError("missing trailing manifest object")
         manifest = payload[-1]["manifest"]
-        rows = [{c: _coerce(c, v) for c, v in obj.items()} for obj in payload[:-1]]
+        rows = payload[:-1]
     else:
         lines = [line for line in text.splitlines() if line]
         if not lines or not lines[-1].startswith("# manifest "):
@@ -601,7 +577,7 @@ def load_records(path):
             cells = line.split(",")
             if len(cells) != len(columns):
                 raise ValueError(f"row has {len(cells)} cells, header has {len(columns)}")
-            rows.append({c: _coerce(c, v) for c, v in zip(columns, cells)})
+            rows.append(dict(zip(columns, cells)))
     return [_record_from_row(row) for row in rows], manifest
 
 

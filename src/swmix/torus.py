@@ -13,7 +13,9 @@ Vertices are addressed throughout the package by a canonical index
 
 so index 0 is the corner ``(-n, -n)`` and indices increase x-major.  Vertex
 subsets are plain boolean masks of length ``N = (2n+1)^2`` over canonical
-indices.
+indices.  Here and in every module, an index or coordinate argument that is
+not an integer (numpy integers pass) raises TypeError, and one outside
+[0, N) or [-n, n] raises ValueError.
 
 The module also provides the box partition used by the expansion analysis:
 a deterministic tiling of the grid into axis-aligned rectangles whose sides
@@ -23,6 +25,7 @@ all lie in ``[box_side, 2 * box_side]``, together with the box-core operation
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,10 +51,39 @@ __all__ = [
 ]
 
 
-def _check_n(n) -> int:
+def _check_n(n, what: str = "torus parameter n") -> int:
+    """n as an int, if it is an integer >= 1: the torus parameter, or any other count."""
     if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"torus parameter n must be an integer >= 1, got {n!r}")
+        raise ValueError(f"{what} must be an integer >= 1, got {n!r}")
     return int(n)
+
+
+def _vertex(v, N: int, what: str) -> int:
+    """v as a vertex index in [0, N), by the rule in the module docstring."""
+    v = operator.index(v)
+    if not 0 <= v < N:
+        raise ValueError(f"{what} {v} out of range [0, {N})")
+    return v
+
+
+def _vertices(a, N: int, what: str) -> np.ndarray:
+    """a as an int64 array of vertex indices in [0, N); an empty a may have any dtype."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise TypeError(f"{what} must be integers, got {a.dtype} values")
+    if a.size and not 0 <= a.min() <= a.max() < N:
+        raise ValueError(f"{what} must lie in [0, {N})")
+    return a.astype(np.int64, copy=False)
+
+
+def _coords(a, n: int) -> np.ndarray:
+    """a as an int64 array of torus coordinates, each an integer in [-n, n]."""
+    a = np.asarray(a)
+    if a.size and a.dtype.kind not in "iu":
+        raise TypeError(f"coordinates must be integers, got {a.dtype} values")
+    if np.any(np.abs(a) > n):
+        raise ValueError(f"coordinates must lie in [-{n}, {n}]")
+    return a.astype(np.int64, copy=False)
 
 
 def num_vertices(n) -> int:
@@ -67,10 +99,7 @@ def coord_to_index(x, y, n):
         ValueError: if any coordinate lies outside [-n, n].
     """
     n = _check_n(n)
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if np.any(np.abs(x) > n) or np.any(np.abs(y) > n):
-        raise ValueError(f"coordinates must lie in [-{n}, {n}]")
+    x, y = _coords(x, n), _coords(y, n)
     idx = (x + n) * (2 * n + 1) + (y + n)
     return int(idx) if idx.ndim == 0 else idx
 
@@ -79,9 +108,7 @@ def index_to_coord(index, n):
     """Inverse of :func:`coord_to_index`; returns (x, y) scalars or arrays."""
     n = _check_n(n)
     side = 2 * n + 1
-    index = np.asarray(index)
-    if np.any(index < 0) or np.any(index >= side * side):
-        raise ValueError(f"canonical index out of range for n={n}")
+    index = _vertices(index, side * side, "canonical indices")
     x = index // side - n
     y = index % side - n
     if index.ndim == 0:
@@ -100,10 +127,7 @@ def torus_distance(u, v, n):
         Integer distance (or array of distances, broadcasting u against v).
     """
     n = _check_n(n)
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if np.any(np.abs(u) > n) or np.any(np.abs(v) > n):
-        raise ValueError(f"coordinates must lie in [-{n}, {n}]")
+    u, v = _coords(u, n), _coords(v, n)
     side = 2 * n + 1
     d = np.abs(u - v)
     d = np.minimum(d, side - d)
@@ -167,12 +191,11 @@ def ring(v, ell, n) -> np.ndarray:
         Array of shape (ring_size(ell, n), 2).
     """
     n = _check_n(n)
-    v = np.asarray(v)
-    if v.shape != (2,) or np.any(np.abs(v) > n):
+    v = _coords(v, n)
+    if v.shape != (2,):
         raise ValueError(f"v must be a coordinate pair in [-{n}, {n}]^2")
     side = 2 * n + 1
-    pts = (v + ring_offsets(ell, n) + n) % side - n
-    return pts
+    return (v + ring_offsets(ell, n) + n) % side - n
 
 
 @lru_cache(maxsize=None)
@@ -207,10 +230,7 @@ def mask_from_indices(indices, n) -> np.ndarray:
     n = _check_n(n)
     N = (2 * n + 1) ** 2
     mask = np.zeros(N, dtype=bool)
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= N):
-        raise ValueError(f"canonical index out of range for n={n}")
-    mask[indices] = True
+    mask[_vertices(indices, N, "canonical indices")] = True
     return mask
 
 

@@ -33,7 +33,8 @@ import scipy.sparse.linalg
 
 from .bfs import double_sweep
 from .errors import ConvergenceError
-from .generate import SmallWorldGraph
+from .generate import SmallWorldGraph, _stream
+from .torus import _vertex, _vertices
 
 __all__ = [
     "EXACT_STARTS_MAX_VERTICES",
@@ -51,7 +52,9 @@ __all__ = [
     "sample_trajectory",
 ]
 
-# Largest N for which the default policy evolves all N point masses exactly.
+# Largest N for which the default policy evolves all N point masses exactly.  At seed 3,
+# mixing_time(starts="all") takes 0.02-0.04 s at N = 361 and 0.27-1.09 s at N = 1089 (r = 1-4,
+# 2-vCPU Xeon VM).  perfbench/check.py hard-codes 400 for t_mix_exact, so both move together.
 EXACT_STARTS_MAX_VERTICES = 400
 
 # Steps between in-place renormalizations of evolved distributions.
@@ -59,6 +62,11 @@ _RENORM_EVERY = 64
 
 # Largest t the mixing search evaluates before giving up.
 _MAX_STEPS = 1_000_000
+
+
+def _check_unit(value, what: str) -> None:
+    if not 0 < value <= 1:
+        raise ValueError(f"{what} must lie in (0, 1], got {value!r}")
 
 
 def stationary(graph: SmallWorldGraph) -> np.ndarray:
@@ -123,9 +131,7 @@ def distance_to_stationarity(graph: SmallWorldGraph, v, t) -> float:
         TypeError: if v or t is not an integer (numpy integers are accepted).
         ValueError: if v is out of range or t is negative.
     """
-    v, t = operator.index(v), operator.index(t)
-    if not 0 <= v < graph.num_vertices:
-        raise ValueError(f"start vertex {v} out of range")
+    v, t = _vertex(v, graph.num_vertices, "start vertex"), operator.index(t)
     if t < 0:
         raise ValueError("step count must be nonnegative")
     y = np.zeros((graph.num_vertices, 1))
@@ -158,9 +164,7 @@ def heuristic_start_vertices(graph: SmallWorldGraph, num_random=32) -> np.ndarra
     so the set is a pure function of the graph.
     """
     far, _, _ = double_sweep(graph)
-    ss = np.random.SeedSequence(entropy=graph.params.seed, spawn_key=(0, 1))
-    rng = np.random.Generator(np.random.Philox(ss))
-    rnd = rng.integers(0, graph.num_vertices, size=num_random)
+    rnd = _stream(graph.params.seed, 0, 1).integers(0, graph.num_vertices, size=num_random)
     return np.unique(np.concatenate([[far], rnd]))
 
 
@@ -173,12 +177,9 @@ def _resolve_starts(graph: SmallWorldGraph, starts):
         if starts == "heuristic":
             return heuristic_start_vertices(graph), False
         raise ValueError(f"starts must be 'all', 'heuristic', 'auto', or vertex indices, got {starts!r}")
-    arr = np.asarray(starts)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise TypeError(f"start vertices must be integers, got {arr.dtype} values")
-    arr = np.unique(arr.astype(np.int64))
-    if arr.size == 0 or arr.min() < 0 or arr.max() >= graph.num_vertices:
-        raise ValueError("start vertices out of range")
+    arr = np.unique(_vertices(starts, graph.num_vertices, "start vertices"))
+    if arr.size == 0:
+        raise ValueError("start vertices must not be empty")
     return arr, arr.size == graph.num_vertices
 
 
@@ -219,8 +220,7 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
             last_value, the evaluated (t, worst TV) curve as last_iterate
             and _MAX_STEPS as iterations.
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
+    _check_unit(epsilon, "epsilon")
     start_vertices, exact = _resolve_starts(graph, starts)
     pi = stationary(graph)
     kernel_t = _kernel_transpose(graph)
@@ -291,9 +291,7 @@ def second_eigenpair(graph: SmallWorldGraph, tol=1e-10, max_iter=30_000):
         last = 0.5 * x + 0.5 * dinv_sqrt * (adj @ (dinv_sqrt * x)) - (u1 @ x) * u1
         return last
 
-    ss = np.random.SeedSequence(entropy=graph.params.seed, spawn_key=(0, 2))
-    rng = np.random.Generator(np.random.Philox(ss))
-    v = rng.standard_normal(graph.num_vertices)
+    v = _stream(graph.params.seed, 0, 2).standard_normal(graph.num_vertices)
     v -= (u1 @ v) * u1
     num = graph.num_vertices
     op = scipy.sparse.linalg.LinearOperator((num, num), matvec=apply_deflated, dtype=np.float64)
@@ -326,11 +324,12 @@ def relaxation_bounds(gap, pi_min, epsilon=0.25):
         lower = (1/gap - 1) * ln(1 / (2 epsilon))
         upper = (1/gap) * ln(1 / (epsilon * pi_min)),
     valid for reversible lazy chains.
+
+    Raises:
+        ValueError: if gap, pi_min or epsilon lies outside (0, 1].
     """
-    if not 0 < gap <= 1:
-        raise ValueError(f"gap must lie in (0, 1], got {gap!r}")
-    if not 0 < pi_min <= 1:
-        raise ValueError(f"pi_min must lie in (0, 1], got {pi_min!r}")
+    for value, what in ((gap, "gap"), (pi_min, "pi_min"), (epsilon, "epsilon")):
+        _check_unit(value, what)
     t_rel = 1.0 / gap
     return (t_rel - 1.0) * math.log(1.0 / (2.0 * epsilon)), t_rel * math.log(1.0 / (epsilon * pi_min))
 
@@ -346,9 +345,7 @@ def sample_trajectory(graph: SmallWorldGraph, start, steps, rng) -> np.ndarray:
             accepted).
         ValueError: if start is out of range or steps is negative.
     """
-    start, steps = operator.index(start), operator.index(steps)
-    if not 0 <= start < graph.num_vertices:
-        raise ValueError(f"start vertex {start} out of range")
+    start, steps = _vertex(start, graph.num_vertices, "start vertex"), operator.index(steps)
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     path = np.empty(steps + 1, dtype=np.int64)

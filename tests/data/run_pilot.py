@@ -37,6 +37,7 @@ from swmix import (
     run_sweep,
     sample_graph,
 )
+from swmix.generate import _stream
 
 SEED_BASE = 1000
 OUT = Path(__file__).parent / "pilot_calibration.json"
@@ -144,7 +145,7 @@ def main():
     for rep in range(200):
         seed = derive_seed(SEED_BASE, 20, 2.0, rep)
         g = sample_graph(ModelParams(n=20, r=2.0, seed=seed))
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0, 5))))
+        rng = _stream(seed, 0, 5)
         size = int(rng.integers(1, 65))
         S = support.random_connected_set(g, rng, size)
         fits.append(degree_sum(g, mask_from_indices(S, 20)) / max(S.size, math.log(20)))

@@ -1,6 +1,8 @@
 """Sampling layer: normalizer, edge probabilities, samplers, graph files."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from swmix import (
     torus_distance,
     torus_only_graph,
 )
-from swmix.generate import _assemble
+from swmix import generate
+from swmix.generate import _assemble, _stream
 
 
 def test_params_validation():
@@ -101,6 +104,8 @@ def test_edge_probability_domain():
         edge_probability(4, 1.0, 9)
     with pytest.raises(ValueError):
         edge_probability(4, math.inf, 2)
+    with pytest.raises(ValueError, match="underflowed"):
+        edge_probability(3, 2000.0, 2)
 
 
 def test_sampler_is_deterministic():
@@ -137,7 +142,7 @@ def test_sampler_matches_setloop_oracle():
 
 def test_sampler_normalizer_underflow():
     params = ModelParams(n=3, r=2000.0, seed=0)
-    for sampler in (sample_graph, oracles.sample_graph_setloop):
+    for sampler in (sample_graph, sample_graph_naive, oracles.sample_graph_setloop):
         with pytest.raises(ValueError, match="underflowed"):
             sampler(params)
 
@@ -355,3 +360,33 @@ def test_load_rejects_malformed_files(tmp_path):
         with pytest.raises(GraphFormatError) as err:
             load_graph(path)
         assert err.value.line == lineno, name
+
+
+def _spawn_key_table():
+    """Spawn keys listed in the generate module docstring; (d,) stands for d = 2 and 48."""
+    rows = re.findall(r"^    \((\w+),( \d+)?\) ", generate.__doc__, flags=re.MULTILINE)
+    keys = []
+    for head, tail in rows:
+        if head == "d":
+            keys += [(2,), (48,)]
+        else:
+            keys.append((int(head),) + ((int(tail),) if tail else ()))
+    return keys
+
+
+def test_stream_registry_matches_explicit_philox():
+    keys = _spawn_key_table()
+    assert keys == [(2,), (48,), (1,), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]
+    for seed in (0, 2**64 - 1):
+        for key in keys:
+            ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+            got = _stream(seed, *key).integers(0, 2**62, size=8)
+            assert np.array_equal(got, ref.integers(0, 2**62, size=8)), (seed, key)
+
+
+def test_streams_are_built_only_in_generate():
+    src = Path(generate.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name != "generate.py":
+            text = path.read_text(encoding="utf-8")
+            assert "SeedSequence" not in text and "Philox" not in text, path.name

@@ -87,6 +87,15 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "pairs": 0})
 
 
+def test_sweep_config_rejects_fractional_seeds():
+    # 2.5 is rejected, not truncated to seed 2
+    for field in (dict(seeds=(2.5,)), dict(seeds=(1, 2.5)), dict(num_seeds=1, seed_base=2.5)):
+        with pytest.raises(ValueError, match="64-bit unsigned integer"):
+            SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), **field)
+    cfg = SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), seeds=(np.uint64(2**64 - 1),))
+    assert cfg.seeds == (2**64 - 1,) and type(cfg.seeds[0]) is int
+
+
 def test_instance_seeds():
     cfg = SweepConfig(experiment="mix", n_values=(3, 5), r_values=(1.0,), num_seeds=3, seed_base=4)
     assert cfg.instance_seeds(3, 1.0) == tuple(derive_seed(4, 3, 1.0, k) for k in range(3))
@@ -204,6 +213,24 @@ def test_emit_errors(tmp_path):
         emit(mixed, "csv", path, cfg)
 
 
+def test_record_columns_are_typed_by_name(tmp_path):
+    rec = ExperimentRecord(
+        experiment="mix", n=np.int64(3), r=2, seed=np.uint64(7), num_vertices=49, edge_count=98.0,
+        normalizer=np.float32(0.5), version=__version__,
+        values={"t_mix": np.int64(5), "t_mix_exact": True, "gap": 1, "w_2": 4.0},
+    )
+    row = rec.as_row()
+    assert row["n"] == 3 and row["r"] == 2.0 and row["seed"] == 7 and row["normalizer"] == 0.5
+    assert [type(row[c]) for c in ("n", "r", "seed", "edge_count", "t_mix", "t_mix_exact", "gap", "w_2")] == \
+        [int, float, int, int, int, int, float, int]
+    cfg = small_mix_config()
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"rec.{fmt}"
+        emit([rec], fmt, path, cfg)
+        assert load_records(path)[0] == [rec]
+    assert "5,1,1,4\n" in (tmp_path / "rec.csv").read_text()
+
+
 def test_load_records_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("experiment,n\nmix,3\n")
@@ -295,6 +322,9 @@ def test_greedy_route_hop_cap():
     g = torus_only_graph(4)
     capped = greedy_route(g, 0, 2, hop_cap=1)
     assert capped.hops == 1 and not capped.delivered
+    with pytest.raises(TypeError):
+        greedy_route(g, 0, 3, hop_cap=2.5)
+    assert greedy_route(g, 0, 3, hop_cap=np.int64(2)).hops == 2
 
 
 def test_greedy_route_rejects_non_integral_vertices():

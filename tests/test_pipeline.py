@@ -163,3 +163,11 @@ def test_cli_flags_map_to_config_fields(argv, fields):
         n_values=(6,), r_values=(2.5,), num_seeds=3, seed_base=4, workers=2, output="o.csv", **fields,
     )
     assert _config_from_args(args) == want
+
+
+@pytest.mark.parametrize("command, experiment", [("mix", "mix"), ("conductance", "conductance"),
+                                                 ("wq", "wq"), ("route", "routing")])
+def test_cli_omitted_flags_take_sweep_config_defaults(command, experiment):
+    args = build_parser().parse_args([command, "--n", "6", "--r", "2.5", "--out", "o.csv"])
+    want = SweepConfig(experiment=experiment, n_values=(6,), r_values=(2.5,), num_seeds=10, output="o.csv")
+    assert _config_from_args(args) == want

@@ -61,6 +61,24 @@ def test_torus_distance_rejects_out_of_range():
         torus_distance((0, 0), (3, 0), 2)
 
 
+def test_indices_and_coordinates_must_be_integers():
+    # a float is rejected, not truncated to a neighbouring vertex
+    with pytest.raises(TypeError):
+        mask_from_indices([2.7], 3)
+    with pytest.raises(TypeError):
+        index_to_coord(2.7, 3)
+    with pytest.raises(TypeError):
+        coord_to_index(0.5, 1, 3)
+    with pytest.raises(TypeError):
+        torus_distance((0.5, 0), (1, 0), 3)
+    with pytest.raises(ValueError, match=r"in \[0, 49\)"):
+        mask_from_indices([0, 49], 3)
+    assert mask_from_indices(np.array([2], dtype=np.uint8), 3).nonzero()[0].tolist() == [2]
+    assert not mask_from_indices([], 3).any()
+    assert index_to_coord(np.int64(2), 3) == (-3, -1)
+    assert coord_to_index(np.int32(-3), np.uint8(2), 3) == 5
+
+
 def test_torus_distance_matches_shift_scan():
     for n in (1, 2, 3):
         side = 2 * n + 1

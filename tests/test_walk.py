@@ -415,6 +415,13 @@ def test_relaxation_sandwich():
         assert hi == pytest.approx(math.log(4.0 / pi_min) / gap)
 
 
+def test_relaxation_bounds_reject_epsilon_outside_unit_interval():
+    for epsilon in (0, -0.25, 1.5):
+        with pytest.raises(ValueError, match="epsilon"):
+            relaxation_bounds(0.5, 0.1, epsilon=epsilon)
+    assert relaxation_bounds(0.5, 0.1, epsilon=1)[1] == pytest.approx(2 * math.log(10))
+
+
 def test_trajectory_shape_and_moves():
     g = small_world(n=3, r=1.0, seed=14)
     rng = np.random.default_rng(0)
