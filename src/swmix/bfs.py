@@ -1,11 +1,11 @@
 """Breadth-first search utilities: distances, eccentricities, exact diameter.
 
-BFS is level-synchronous over the CSR arrays, so each call costs O(N + |E|)
-with numpy-sized constants.  The multi-source kernels (eccentricities and
-the settled-vertex propagation) work in the graph's degree-ordered
-neighbour-slot layout, `SmallWorldGraph.neighbour_slots`, which is built once
-per graph and cached on it: each BFS level or propagation round is one dense
-gather per neighbour slot.
+Every BFS runs one level loop, `_levels`: one dense gather-OR per slot of
+the graph's cached degree-ordered layout, `SmallWorldGraph.neighbour_slots`,
+so each level costs O(|E|) whatever the frontier's size.  The frontier holds
+one bool per vertex for `bfs_distances`, or one bit per source in uint64
+words for `eccentricities`; the settled-vertex propagation of the exact
+diameter gathers through the same slots.
 
 The exact diameter combines the iFUB fringe order (Crescenzi et al., TCS
 2013) with the eccentricity bounding rule of Takes & Kosters (2011): a double
@@ -20,6 +20,7 @@ vertices, and returns the double sweep's lower bound with the diameter.
 from __future__ import annotations
 
 from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -30,36 +31,16 @@ __all__ = ["bfs_distances", "double_sweep", "eccentricities", "exact_diameter"]
 _ECC_BATCH = 256
 
 
-def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenate arange(s, s+c) for each (s, c) pair, in order."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    base = np.repeat(starts, counts)
-    shift = np.repeat(np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    return base + np.arange(total, dtype=np.int64) - shift
-
-
 def bfs_distances(graph, source) -> np.ndarray:
     """Hop distances from source to every vertex (-1 if unreachable)."""
     source = _vertex(source, graph.num_vertices, "source vertex")
-    indptr, indices = graph.indptr, graph.indices
-    dist = np.full(graph.num_vertices, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        level += 1
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        nb = indices[_concat_ranges(starts, counts)]
-        nb = nb[dist[nb] < 0]
-        if nb.size == 0:
-            break
-        dist[nb] = level
-        # a scan of dist is cheaper than sorting the repeated neighbours away
-        frontier = np.flatnonzero(dist == level)
-    return dist
+    _, rank, _ = graph.neighbour_slots
+    front = np.zeros(graph.num_vertices, dtype=bool)
+    front[rank[source]] = True
+    dist = front.astype(np.int64) - 1  # 0 at the source, -1 until reached
+    for level, new in _levels(graph, front):
+        dist[new] = level
+    return dist[rank]
 
 
 def double_sweep(graph):
@@ -87,6 +68,24 @@ def _gather(values, columns, combine):
     return out
 
 
+def _levels(graph, front):
+    """Yield (level, new) per BFS level from a rank-space frontier, until a level reaches nothing.
+
+    front holds one bool per vertex rank, or uint64 words with one bit per
+    source; new, of the same shape, marks what the level reaches first.
+    """
+    columns = graph.neighbour_slots[2]
+    unseen = ~front
+    for level in count(1):
+        new = _gather(front, columns, np.bitwise_or)
+        new &= unseen
+        if not new.any():
+            return
+        yield level, new
+        unseen ^= new
+        front = new
+
+
 def eccentricities(graph, sources) -> np.ndarray:
     """Eccentricity of each source vertex, via bit-parallel multi-source BFS.
 
@@ -101,28 +100,18 @@ def eccentricities(graph, sources) -> np.ndarray:
     if src.ndim != 1:
         raise ValueError(f"sources must be one-dimensional, got shape {src.shape}")
     out = np.zeros(src.size, dtype=np.int64)
-    # in rank space each level is one dense gather-OR per neighbour slot
-    _, rank, columns = graph.neighbour_slots
+    _, rank, _ = graph.neighbour_slots
     for lo in range(0, src.size, _ECC_BATCH):
         block = rank[src[lo : lo + _ECC_BATCH]]
         bit = np.arange(block.size)
         front = np.zeros((graph.num_vertices, -(-block.size // 64)), dtype=np.uint64)
         # .at, because duplicated sources share a (vertex, word) cell
         np.bitwise_or.at(front, (block, bit >> 6), np.uint64(1) << (bit & 63).astype(np.uint64))
-        unseen = ~front
-        level = 0
-        while True:
-            new = _gather(front, columns, np.bitwise_or)
-            new &= unseen
+        for level, new in _levels(graph, front):
             # reducing contiguous rows is several times faster than strided columns
             grew = np.bitwise_or.reduce(np.ascontiguousarray(new.T), axis=1)
-            if not grew.any():
-                break
-            level += 1
             hit = np.unpackbits(grew.astype("<u8", copy=False).view(np.uint8), bitorder="little")
             out[lo + np.flatnonzero(hit[: block.size])] = level
-            unseen ^= new
-            front = new
     return out
 
 

@@ -71,14 +71,10 @@ DIAMETER_MAX_VERTICES = 100_000
 
 
 def _cut_entries(graph: SmallWorldGraph, S: np.ndarray):
-    """Directed adjacency entries (head in S, tail outside S)."""
-    inside = np.flatnonzero(S)
-    starts = graph.indptr[inside]
-    counts = graph.indptr[inside + 1] - starts
-    heads = np.repeat(inside, counts)
-    tails = graph.indices[bfs._concat_ranges(starts, counts)]
-    out = ~S[tails]
-    return heads[out], tails[out]
+    """Directed adjacency entries (head in S, tail outside S), in CSR order."""
+    heads = np.repeat(np.arange(graph.num_vertices), graph.degrees)
+    cut = S[heads] & ~S[graph.indices]
+    return heads[cut], graph.indices[cut]
 
 
 def edge_boundary(graph: SmallWorldGraph, S) -> np.ndarray:

@@ -200,7 +200,7 @@ class SmallWorldGraph:
 
     @cached_property
     def neighbour_slots(self) -> tuple:
-        """Degree-ordered neighbour-slot layout shared by the BFS kernels.
+        """Degree-ordered neighbour-slot layout that every BFS level gathers through.
 
         Returns (order, rank, columns): order lists the vertices by
         decreasing degree and rank is its inverse permutation.  In rank
@@ -208,7 +208,7 @@ class SmallWorldGraph:
         columns[j] holds the rank of the j-th neighbour of each of them, so
         one dense gather per slot visits every CSR entry exactly once.
         """
-        deg = np.diff(self.indptr)
+        deg = self.degrees
         order = np.argsort(-deg)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)

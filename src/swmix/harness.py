@@ -38,7 +38,7 @@ import numpy as np
 from . import expansion
 from ._version import __version__
 from .errors import CapacityError
-from .generate import ModelParams, SmallWorldGraph, _seed64, _stream, sample_graph
+from .generate import ModelParams, SmallWorldGraph, _sampling_normalizer, _seed64, _stream, sample_graph
 from .torus import _check_n, _vertex, make_box_partition, mask_from_indices, num_vertices
 from .walk import EXACT_STARTS_MAX_VERTICES, mixing_time, second_eigenpair, stationary
 
@@ -101,8 +101,15 @@ def derive_seed(base, n, r, replicate) -> int:
 
     First 8 bytes, big-endian, of sha256 over "{base}:{n}:{r_hex}:{replicate}"
     where r_hex is the exact float hex of r.
+    base, n and replicate must be integers: a 64-bit unsigned base, n >= 1
+    and replicate >= 0 (ValueError; TypeError for a non-integer replicate).
     """
-    msg = f"{int(base)}:{int(n)}:{float(r).hex()}:{int(replicate)}".encode("ascii")
+    base = _seed64(base, "seed base")
+    n = _check_n(n)
+    replicate = operator.index(replicate)
+    if replicate < 0:
+        raise ValueError(f"replicate must be an integer >= 0, got {replicate!r}")
+    msg = f"{base}:{n}:{float(r).hex()}:{replicate}".encode("ascii")
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
 
 
@@ -120,7 +127,7 @@ class SweepConfig:
     random-set sample of the expansion experiment.
 
     Raises:
-        ValueError: for a field out of range, or a zero conductance ball radius.
+        ValueError: for a field out of range, an unsampleable (n, r), or a zero conductance ball radius.
         CapacityError: for starts="all" with an n over the exact-starts cap.
     """
 
@@ -149,6 +156,9 @@ class SweepConfig:
         r_values = tuple(float(v) for v in self.r_values)
         if not r_values or any(math.isnan(v) or v < 0 for v in r_values):
             raise ValueError(f"r_values must be a nonempty list of reals >= 0, got {self.r_values!r}")
+        for n in n_values:
+            for r in r_values:
+                _sampling_normalizer(n, r)
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "r_values", r_values)
         if self.seeds is not None:

@@ -142,6 +142,7 @@ def ring_size(ell, n) -> int:
     past ell = n because of the wraparound.
     """
     n = _check_n(n)
+    ell = operator.index(ell)
     if not 1 <= ell <= 2 * n:
         raise ValueError(f"ring distance must satisfy 1 <= ell <= 2n = {2 * n}, got {ell}")
     return 4 * min(ell, 2 * n + 1 - ell)
@@ -172,11 +173,9 @@ def ring_table(n) -> tuple:
 
 def ring_offsets(ell, n) -> np.ndarray:
     """Read-only (k, 2) array of all offsets at distance ell from the origin."""
-    n = _check_n(n)
-    if not 1 <= ell <= 2 * n:
-        raise ValueError(f"ring distance must satisfy 1 <= ell <= 2n = {2 * n}, got {ell}")
+    ring_size(ell, n)  # checks n and ell
     offsets, starts = ring_table(n)
-    return offsets[starts[int(ell)] : starts[int(ell) + 1]]
+    return offsets[starts[ell] : starts[ell + 1]]
 
 
 def ring(v, ell, n) -> np.ndarray:

@@ -57,6 +57,9 @@ __all__ = [
 # 2-vCPU Xeon VM).  perfbench/check.py hard-codes 400 for t_mix_exact, so both move together.
 EXACT_STARTS_MAX_VERTICES = 400
 
+# Uniform vertices drawn for the heuristic start set, beside the double-sweep far vertex.
+_RANDOM_STARTS = 32
+
 # Steps between in-place renormalizations of evolved distributions.
 _RENORM_EVERY = 64
 
@@ -157,14 +160,14 @@ class MixingEstimate:
     curve: tuple
 
 
-def heuristic_start_vertices(graph: SmallWorldGraph, num_random=32) -> np.ndarray:
+def heuristic_start_vertices(graph: SmallWorldGraph) -> np.ndarray:
     """Start set for large graphs: double-sweep far vertex + seeded uniforms.
 
     The random vertices come from the instance seed under spawn_key (0, 1),
     so the set is a pure function of the graph.
     """
     far, _, _ = double_sweep(graph)
-    rnd = _stream(graph.params.seed, 0, 1).integers(0, graph.num_vertices, size=num_random)
+    rnd = _stream(graph.params.seed, 0, 1).integers(0, graph.num_vertices, size=_RANDOM_STARTS)
     return np.unique(np.concatenate([[far], rnd]))
 
 

@@ -1,6 +1,8 @@
 """BFS kernels against networkx: eccentricities, exact diameter, distances, slot layout."""
 
+import ast
 import hashlib
+import inspect
 import json
 
 import networkx as nx
@@ -14,7 +16,9 @@ from swmix import (
     bfs_distances,
     double_sweep,
     exact_diameter,
+    index_to_coord,
     sample_graph,
+    torus_distance,
     torus_only_graph,
 )
 from swmix import bfs
@@ -205,6 +209,23 @@ def test_bfs_distances_every_source(g):
         got = bfs_distances(g, source)
         assert got.dtype == np.int64
         assert got.tolist() == [expect[source][v] for v in range(g.num_vertices)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_bfs_distances_bare_torus_match_torus_distance(n):
+    # D = 2n: the longest level chains any graph of this size has
+    g = torus_only_graph(n)
+    coords = np.column_stack(index_to_coord(np.arange(g.num_vertices), n))
+    for source in sorted({0, n, g.num_vertices // 2, g.num_vertices - 1}):
+        expect = torus_distance(coords, coords[source], n)
+        assert bfs_distances(g, source).tolist() == np.asarray(expect).tolist()
+
+
+def test_bfs_reads_no_csr_arrays():
+    # every neighbour visit goes through the neighbour slots, so one level loop serves every BFS
+    tree = ast.parse(inspect.getsource(bfs))
+    reads = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert "indptr" not in reads and "indices" not in reads
 
 
 @pytest.mark.parametrize("n, r, seed", [(1, 1.0, 0), (2, 0.0, 1), (3, 1.0, 2), (5, 2.0, 3), (8, 1.0, 4), (6, 8.0, 5)])

@@ -62,6 +62,13 @@ def test_edge_boundary_full_set_empty():
     assert vertex_boundary(g, S).sum() == 0
 
 
+def test_edge_boundary_empty_set_empty():
+    g = small_world()
+    S = np.zeros(g.num_vertices, dtype=bool)
+    assert edge_boundary(g, S).shape == (0, 2)
+    assert vertex_boundary(g, S).sum() == 0
+
+
 def test_boundaries_match_edge_scan():
     g = small_world()
     edges = oracles.graph_edge_list(g)

@@ -34,6 +34,8 @@ from swmix import (
 from swmix import walk
 from swmix.cli import main
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def test_derive_seed_frozen_values():
     assert derive_seed(0, 8, 1.0, 0) == 6389110663107369929
@@ -54,6 +56,24 @@ def test_derive_seed_sensitivity():
     assert derive_seed(0, 9, 1.0, 0) != base
     assert derive_seed(0, 8, 1.5, 0) != base
     assert derive_seed(0, 8, 1.0, 1) != base
+
+
+def test_derive_seed_rejects_non_integers():
+    # 2.5 and 3.7 are rejected, not truncated to 2 and 3
+    with pytest.raises(ValueError, match="64-bit unsigned integer"):
+        derive_seed(2.5, 3, 1.0, 0)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        derive_seed(2, 3.7, 1.0, 0)
+    with pytest.raises(ValueError, match="integer >= 1"):
+        derive_seed(2, 0, 1.0, 0)
+    with pytest.raises(TypeError):
+        derive_seed(2, 3, 1.0, 0.9)
+    with pytest.raises(ValueError, match="replicate"):
+        derive_seed(2, 3, 1.0, -1)
+    with pytest.raises(ValueError):
+        derive_seed(-1, 3, 1.0, 0)
+    # numpy integers hash as the Python ints they equal
+    assert derive_seed(np.uint64(7), np.int32(3), 2.5, np.int64(2)) == derive_seed(7, 3, 2.5, 2)
 
 
 def test_sweep_config_validation():
@@ -94,6 +114,21 @@ def test_sweep_config_rejects_fractional_seeds():
             SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), **field)
     cfg = SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), seeds=(np.uint64(2**64 - 1),))
     assert cfg.seeds == (2**64 - 1,) and type(cfg.seeds[0]) is int
+
+
+def test_sweep_config_rejects_unsampleable_cells(tmp_path, monkeypatch, capsys):
+    # r = inf has no sampling normalizer, and at r = 2000 every d^(-r) underflows
+    good = dict(experiment="mix", n_values=(8, 48), num_seeds=6)
+    for r_values, match in (((1.0, float("inf")), "finite exponent"), ((2000.0,), "underflowed")):
+        with pytest.raises(ValueError, match=match):
+            SweepConfig(**good, r_values=r_values)
+    # the CLI refuses before any cell samples a graph
+    sampled = []
+    monkeypatch.setattr(swmix.harness, "sample_graph", lambda params: sampled.append(params))
+    out = tmp_path / "inf.csv"
+    assert main(["mix", "--n", "4", "--r", "inf", "--seeds", "1", "--out", str(out)]) == 2
+    assert "finite exponent" in capsys.readouterr().err
+    assert sampled == [] and not out.exists()
 
 
 def test_instance_seeds():
@@ -551,9 +586,16 @@ def test_cli_convergence_exit_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def source_env():
+    """The environment with the checkout's src/ first on PYTHONPATH, for child interpreters."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_module_entry():
     proc = subprocess.run(
-        [sys.executable, "-m", "swmix.cli", "--version"], capture_output=True, text=True,
+        [sys.executable, "-m", "swmix.cli", "--version"], capture_output=True, text=True, env=source_env(),
     )
     assert proc.returncode == 0
     assert __version__ in proc.stdout
@@ -570,12 +612,9 @@ def test_package_all_is_built_from_submodules():
 
 
 def run_demo(name):
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "demos", name)],
-        capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, os.path.join(ROOT, "demos", name)],
+        capture_output=True, text=True, env=source_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

@@ -110,6 +110,18 @@ def test_ring_size_range_errors():
         ring_size(7, 3)
 
 
+def test_ring_distance_must_be_an_integer():
+    # 2.5 is rejected, not truncated to ring 2
+    with pytest.raises(TypeError):
+        ring_size(2.5, 3)
+    with pytest.raises(TypeError):
+        ring_offsets(2.5, 3)
+    with pytest.raises(ValueError):
+        ring_offsets(0, 3)
+    assert ring_size(np.int64(2), 3) == 8
+    assert np.array_equal(ring_offsets(np.uint8(2), 3), ring_offsets(2, 3))
+
+
 def test_ring_sizes_sum_to_all_other_vertices():
     for n in (1, 2, 3, 8, 64):
         total = sum(ring_size(ell, n) for ell in range(1, 2 * n + 1))
