@@ -1,4 +1,4 @@
-"""Cuts, conductance, expansion certificates, and exact small-scale minima.
+"""Cuts, conductance, expansion certificates, sweep cuts, box sets, diameter.
 
 Vertex sets are boolean masks over canonical indices.  For a set S in graph
 G = (V, E) the edge boundary is the set of edges with exactly one endpoint
@@ -15,10 +15,6 @@ subset S' of S with |S'| >= (1 - epsilon)|S| keeps |boundary(S) cap
 boundary(S')| >= c |S'|.  Sorting the per-vertex outside-edge counts makes
 the worst S' of each size a prefix, so the check is exact and runs in
 O(|S| log |S|) despite quantifying over exponentially many subsets.
-
-The exact minimum conductance is one scan over every subset code of a graph
-with at most 25 vertices, for all sets or connected sets only; each cut comes
-from per-vertex neighbour bit masks and popcounts (Knuth, TAOCP 4A, 7.1.3).
 """
 
 from __future__ import annotations
@@ -45,18 +41,12 @@ __all__ = [
     "conductance",
     "ExpansionVerdict",
     "is_expanding",
-    "min_conductance_bruteforce",
     "sweep_cut",
     "ball_set",
     "count_connected_box_sets",
     "diameter",
 ]
 
-# Exhaustive minima and the box-set counter refuse inputs above these sizes.
-# At N = 25 the subset scan takes about 3.8 s over all subsets and 6.1 s
-# connected-only (2-vCPU Xeon, one BLAS thread); every vertex more doubles it.
-BRUTE_ALL_SUBSETS_MAX_VERTICES = 25
-_SCAN_CHUNK = 1 << 18  # codes per chunk: 2 MB per int64 column
 # Box-set counts at q = 4 take 2 ms at Q = 64 (n = 8) and 6 ms at Q = 49 (n = 15), both at r = 0
 # (2-vCPU Xeon); each box's neighbours are one uint64 mask, so 64 boxes is also its width.
 BOX_GRAPH_MAX_BOXES = 64
@@ -72,9 +62,8 @@ DIAMETER_MAX_VERTICES = 100_000
 
 def _cut_entries(graph: SmallWorldGraph, S: np.ndarray):
     """Directed adjacency entries (head in S, tail outside S), in CSR order."""
-    heads = np.repeat(np.arange(graph.num_vertices), graph.degrees)
-    cut = S[heads] & ~S[graph.indices]
-    return heads[cut], graph.indices[cut]
+    cut = S[graph.entry_rows] & ~S[graph.indices]
+    return graph.entry_rows[cut], graph.indices[cut]
 
 
 def edge_boundary(graph: SmallWorldGraph, S) -> np.ndarray:
@@ -201,75 +190,6 @@ def is_expanding(graph: SmallWorldGraph, S, epsilon, c) -> ExpansionVerdict:
     )
 
 
-def _is_connected(code: int, nbr) -> bool:
-    """Whether the set with bit code `code` induces a connected subgraph: grow
-    a mask from its lowest bit through the neighbour masks to a fixed point."""
-    reach, grown = 0, code & -code
-    while grown != reach:
-        reach = rest = grown
-        while rest:
-            low = rest & -rest
-            grown |= nbr[low.bit_length() - 1]
-            rest ^= low
-        grown &= code
-    return reach == code
-
-
-def min_conductance_bruteforce(graph: SmallWorldGraph, connected_only=False):
-    """Exhaustive minimum conductance; returns (phi, witness mask).
-
-    One scan over the subset codes (bit v set when vertex v is in S) serves
-    both modes, so both share the BRUTE_ALL_SUBSETS_MAX_VERTICES cap.  Per
-    chunk of codes, the cut is d(S) minus the internal edge ends,
-    popcount(S & nbr[v]) summed over v in S (the graph is simple), and phi
-    comes from the same formula as `conductance`, float for float.  That
-    formula gives S and its complement the same phi bit for bit, and of the
-    two the smaller code leaves bit N - 1 clear, so over all subsets the scan
-    covers codes 1 .. 2^(N-1) - 1 only.  With connected_only=True it covers
-    1 .. 2^N - 2, since the complement of a connected set need not be
-    connected, and the codes that beat the running best are tested in phi
-    order until one induces a connected subgraph.
-
-    The witness is the smallest code sum(2^v) among the minimisers, in
-    either mode; any other minimiser has the same phi.
-
-    Raises:
-        CapacityError: above BRUTE_ALL_SUBSETS_MAX_VERTICES vertices.
-    """
-    N = graph.num_vertices
-    if N > BRUTE_ALL_SUBSETS_MAX_VERTICES:
-        raise CapacityError(
-            f"subset scan capped at {BRUTE_ALL_SUBSETS_MAX_VERTICES} vertices, got {N}"
-        )
-    bit = np.uint32(1) << np.arange(N, dtype=np.uint32)
-    # every row is non-empty: each vertex has its four torus edges
-    nbr = np.bitwise_or.reduceat(bit[graph.indices], graph.indptr[:-1]).tolist()
-    degrees = graph.degrees
-    best_phi, best_code = math.inf, None
-    stop = 2**N - 1 if connected_only else 2 ** (N - 1)
-    for lo in range(1, stop, _SCAN_CHUNK):
-        codes = np.arange(lo, min(lo + _SCAN_CHUNK, stop), dtype=np.uint32)
-        dsum = np.zeros(codes.size, dtype=np.int64)
-        inner = np.zeros(codes.size, dtype=np.int64)
-        for v in range(N):
-            has = (codes >> v) & 1
-            dsum += has * degrees[v]
-            inner += has * np.bitwise_count(codes & nbr[v])
-        phi = _conductance_from(graph, dsum - inner, dsum)
-        if connected_only:
-            cand = np.flatnonzero(phi < best_phi)
-            for i in cand[np.argsort(phi[cand], kind="stable")].tolist():
-                if _is_connected(lo + i, nbr):
-                    best_phi, best_code = float(phi[i]), lo + i
-                    break
-        else:
-            i = int(np.argmin(phi))
-            if phi[i] < best_phi:
-                best_phi, best_code = float(phi[i]), lo + i
-    witness = ((best_code >> np.arange(N)) & 1).astype(bool)
-    return best_phi, witness
-
-
 def sweep_cut(graph: SmallWorldGraph):
     """Conductance sweep along the second eigenvector of the lazy kernel.
 
@@ -293,7 +213,7 @@ def sweep_cut(graph: SmallWorldGraph):
         # how many rank intervals [start, stop) hold each prefix end k < N - 1
         return np.cumsum(np.bincount(starts, minlength=N) - np.bincount(stops, minlength=N))[:-1]
 
-    head = np.repeat(rank, graph.degrees)
+    head = rank[graph.entry_rows]
     tail = rank[graph.indices]
     forward = head < tail
     first = np.minimum.reduceat(tail, graph.indptr[:-1])
@@ -350,7 +270,7 @@ def count_connected_box_sets(graph: SmallWorldGraph, partition: BoxPartition, q)
     bits = np.uint64(1) << partition.labels.astype(np.uint64)
     nbr = np.zeros(Q, dtype=np.uint64)
     # a box's own bit does no harm: every box is excluded before its mask is read
-    np.bitwise_or.at(nbr, np.repeat(partition.labels, graph.degrees), bits[graph.indices])
+    np.bitwise_or.at(nbr, partition.labels[graph.entry_rows], bits[graph.indices])
     nbr = nbr.tolist()
 
     def grow(cand, excluded, room):

@@ -18,8 +18,8 @@ edges is drawn as K_d ~ Binomial(M_d, p(d)) and then K_d distinct pairs are
 drawn uniformly from the class (uniform vertex, uniform ring offset, reject
 repeats).  Since i.i.d. Bernoulli indicators conditioned on their sum are a
 uniform subset of that size, the resulting edge set has exactly the per-pair
-product law of the model; a quadratic per-pair reference sampler is kept for
-statistical cross-checks.
+product law of the model.  The quadratic per-pair reference sampler that the
+tests compare it against lives in tests/oracles.py.
 
 The draws run in batched rounds.  In each round every class that is still
 short by s pairs draws a batch of max(16, int(1.2 s)) (vertex, offset) pairs
@@ -35,7 +35,7 @@ a counter-based Philox stream keyed by (seed, purpose) and so reproducible
 independently of evaluation order.  The spawn keys, one purpose each:
 
     (d,)     sample_graph: distance class d, for 2 <= d <= 2n
-    (1,)     sample_graph_naive: the per-pair uniforms
+    (1,)     tests/oracles.py: the per-pair uniforms of sample_graph_naive
     (0, 1)   walk.heuristic_start_vertices: the uniform start vertices
     (0, 2)   walk.second_eigenpair: the Lanczos start vector
     (0, 3)   the routing experiment: source and target pairs
@@ -46,15 +46,17 @@ independently of evaluation order.  The spawn keys, one purpose each:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse
 
-from .errors import CapacityError, GraphFormatError
+from .errors import GraphFormatError
 from .torus import (
     _check_n,
+    _vertex,
     num_vertices,
     ring_size,
     ring_table,
@@ -67,19 +69,10 @@ __all__ = [
     "long_range_normalizer",
     "edge_probability",
     "sample_graph",
-    "sample_graph_naive",
     "torus_only_graph",
     "save_graph",
     "load_graph",
 ]
-
-# Quadratic reference sampler refuses graphs above this many vertices.  Its
-# cost is time, quadratic in N: at n = 24 (N = 2401, the largest n under the
-# cap) one call takes 0.12-0.14 s and raises peak RSS by about 3 MB, because
-# it holds only _NAIVE_BLOCK_ROWS rows of the pair triangle at once (2-vCPU
-# Xeon VM, numpy 2.4).
-NAIVE_SAMPLER_MAX_VERTICES = 2500
-_NAIVE_BLOCK_ROWS = 16
 
 GRAPH_FILE_MAGIC = "swg"
 
@@ -145,9 +138,11 @@ def edge_probability(n, r, distance) -> float:
     """Probability distance^(-r) / Z of a long-range edge at the given distance.
 
     Raises:
+        TypeError: if distance is not an integer (numpy integers are accepted).
         ValueError: if distance is outside [2, 2n], r is not finite, or Z
             underflows to zero.
     """
+    distance = operator.index(distance)
     if not 2 <= distance <= 2 * n:
         raise ValueError(f"long-range distance must lie in [2, 2n = {2 * n}], got {distance}")
     return float(distance) ** -float(r) / _sampling_normalizer(n, r)
@@ -182,10 +177,11 @@ class SmallWorldGraph:
         return self.params.n
 
     def degree(self, v) -> int:
-        return int(self.degrees[v])
+        return int(self.degrees[_vertex(v, self.num_vertices, "vertex")])
 
     def neighbours(self, v) -> np.ndarray:
         """Sorted canonical indices adjacent to v (read-only view)."""
+        v = _vertex(v, self.num_vertices, "vertex")
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     @cached_property
@@ -197,6 +193,13 @@ class SmallWorldGraph:
             shape=(self.num_vertices, self.num_vertices),
         )
         return mat
+
+    @cached_property
+    def entry_rows(self) -> np.ndarray:
+        """Row of each CSR entry, aligned with indices (read-only)."""
+        rows = np.repeat(np.arange(self.num_vertices), self.degrees)
+        rows.setflags(write=False)
+        return rows
 
     @cached_property
     def neighbour_slots(self) -> tuple:
@@ -308,43 +311,6 @@ def sample_graph(params: ModelParams) -> SmallWorldGraph:
     z = _sampling_normalizer(params.n, params.r)
     pair_keys = _draw_long_range_keys(params, z)
     return _assemble(params, np.column_stack(np.divmod(pair_keys, num_vertices(params.n))), z)
-
-
-def sample_graph_naive(params: ModelParams) -> SmallWorldGraph:
-    """Quadratic reference sampler: one Bernoulli draw per vertex pair.
-
-    Same model law as :func:`sample_graph` but a different stream layout, so
-    the two are compared statistically, not edge for edge.
-
-    Raises:
-        CapacityError: if N exceeds NAIVE_SAMPLER_MAX_VERTICES.
-        ValueError: if r is not finite or the normalizer underflows to zero.
-    """
-    z = _sampling_normalizer(params.n, params.r)
-    n, r = params.n, params.r
-    N = num_vertices(n)
-    if N > NAIVE_SAMPLER_MAX_VERTICES:
-        raise CapacityError(
-            f"reference sampler is quadratic; N={N} exceeds cap {NAIVE_SAMPLER_MAX_VERTICES}"
-        )
-    side = 2 * n + 1
-    gx, gy = np.divmod(np.arange(N), side)
-    rng = _stream(params.seed, 1)
-    long_pairs = [np.empty((0, 2), np.int64)]
-    # The upper triangle goes in blocks of rows, in row-major order.  Each
-    # rng.random call continues the same stream, so every eligible pair meets
-    # the same uniform as in one draw over the whole triangle.
-    for lo in range(0, N, _NAIVE_BLOCK_ROWS):
-        u = np.arange(lo, min(lo + _NAIVE_BLOCK_ROWS, N))
-        v = np.arange(lo + 1, N)
-        dx = np.abs(gx[u, None] - gx[None, v])
-        dy = np.abs(gy[u, None] - gy[None, v])
-        dist = np.minimum(dx, side - dx) + np.minimum(dy, side - dy)
-        iu, iv = np.nonzero((v[None, :] > u[:, None]) & (dist >= 2))
-        probs = dist[iu, iv].astype(np.float64) ** -r / z
-        accept = rng.random(probs.size) < probs
-        long_pairs.append(np.column_stack([u[iu[accept]], v[iv[accept]]]))
-    return _assemble(params, np.concatenate(long_pairs), z)
 
 
 def torus_only_graph(n, seed=0) -> SmallWorldGraph:

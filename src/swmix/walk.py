@@ -66,6 +66,14 @@ _RENORM_EVERY = 64
 # Largest t the mixing search evaluates before giving up.
 _MAX_STEPS = 1_000_000
 
+# ARPACK's relative residual tolerance for the Lanczos solve: it stops once
+# ||S x - lambda_2 x|| <= _EIGEN_TOL * lambda_2, which leaves the eigenvector
+# converged to about 1e-10, as sweep_cut needs.
+_EIGEN_TOL = 1e-10
+
+# Cap on ARPACK's implicit restarts.
+_MAX_RESTARTS = 30_000
+
 
 def _check_unit(value, what: str) -> None:
     if not 0 < value <= 1:
@@ -255,7 +263,7 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
     return MixingEstimate(t, epsilon, start_vertices, exact, tuple(curve))
 
 
-def second_eigenpair(graph: SmallWorldGraph, tol=1e-10, max_iter=30_000):
+def second_eigenpair(graph: SmallWorldGraph):
     """Second-largest eigenvalue of the lazy kernel and its eigenvector.
 
     Works on the symmetrized kernel S = D^(1/2) P D^(-1/2) with its known top
@@ -264,17 +272,11 @@ def second_eigenpair(graph: SmallWorldGraph, tol=1e-10, max_iter=30_000):
     [0, 1], so the largest remaining eigenvalue is lambda_2 itself, found by
     one ARPACK Lanczos solve (``eigsh``, k=1, largest algebraic) from a
     seeded start vector.  Returns (lambda_2, x) with x the unit eigenvector
-    of S; the corresponding right eigenvector of P is D^(-1/2) x.
-
-    Args:
-        tol: ARPACK's relative residual tolerance: the solve stops once
-            ||S x - lambda_2 x|| <= tol * lambda_2.  The default makes the
-            eigenvector converged to ~1e-10, as sweep_cut needs; 0 asks
-            for machine precision.
-        max_iter: cap on ARPACK's implicit restarts.
+    of S; the corresponding right eigenvector of P is D^(-1/2) x.  The solve
+    runs to the residual tolerance _EIGEN_TOL.
 
     Raises:
-        ConvergenceError: if the solve does not converge within max_iter
+        ConvergenceError: if the solve does not converge within _MAX_RESTARTS
             restarts.  A converged eigenpair would have ended the solve, so
             the error carries the last vector the solver produced (unit
             norm) as last_iterate and its Rayleigh quotient, a lower bound
@@ -299,25 +301,21 @@ def second_eigenpair(graph: SmallWorldGraph, tol=1e-10, max_iter=30_000):
     num = graph.num_vertices
     op = scipy.sparse.linalg.LinearOperator((num, num), matvec=apply_deflated, dtype=np.float64)
     try:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v, tol=tol, maxiter=max_iter)
+        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v, tol=_EIGEN_TOL, maxiter=_MAX_RESTARTS)
     except scipy.sparse.linalg.ArpackNoConvergence:
         x = last / np.linalg.norm(last)
         raise ConvergenceError(
-            f"Lanczos solve did not converge within {max_iter} restarts",
+            f"Lanczos solve did not converge within {_MAX_RESTARTS} restarts",
             last_value=float(x @ apply_deflated(x)),
             last_iterate=x,
-            iterations=max_iter,
+            iterations=_MAX_RESTARTS,
         ) from None
     return float(vals[0]), vecs[:, 0]
 
 
-def spectral_gap(graph: SmallWorldGraph, tol=1e-10, max_iter=30_000) -> float:
-    """Spectral gap 1 - lambda_2 of the lazy kernel; always in (0, 1].
-
-    lambda_2 comes from second_eigenpair; tol and max_iter are passed on.
-    """
-    lam, _ = second_eigenpair(graph, tol=tol, max_iter=max_iter)
-    return 1.0 - lam
+def spectral_gap(graph: SmallWorldGraph) -> float:
+    """Spectral gap 1 - lambda_2 of the lazy kernel, lambda_2 from second_eigenpair; always in (0, 1]."""
+    return 1.0 - second_eigenpair(graph)[0]
 
 
 def relaxation_bounds(gap, pi_min, epsilon=0.25):

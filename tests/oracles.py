@@ -4,7 +4,9 @@ Each helper recomputes a library quantity through a deliberately different
 route: explicit Python loops, dense linear algebra, or exhaustive
 enumeration.  Agreement with the library is then evidence of correctness
 rather than a restatement of the same code.  Everything here favours
-clarity over speed and is only meant for small instances.
+clarity over speed and is only meant for small instances.  The module also
+holds the library's former reference implementations, the per-pair sampler
+and the exhaustive conductance scan, which only the tests call.
 """
 
 from __future__ import annotations
@@ -16,8 +18,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from swmix.expansion import CutReport
-from swmix.generate import SmallWorldGraph, long_range_normalizer
+from swmix.errors import CapacityError
+from swmix.expansion import CutReport, _conductance_from
+from swmix.generate import (
+    ModelParams,
+    SmallWorldGraph,
+    _assemble,
+    _sampling_normalizer,
+    _stream,
+    long_range_normalizer,
+)
 from swmix.torus import (
     index_to_coord,
     num_vertices,
@@ -596,8 +606,8 @@ def sample_graph_naive_full(params):
     """The per-pair reference sampler drawn over the whole N x N matrix.
 
     One uniform per eligible pair of the upper triangle, in row-major order,
-    from the stream under spawn key (1,).  The library's row-block sampler
-    must reproduce it array for array.
+    from the stream under spawn key (1,).  The row-block sampler
+    :func:`sample_graph_naive` must reproduce it array for array.
     """
     n, r = params.n, params.r
     N = num_vertices(n)
@@ -616,3 +626,124 @@ def sample_graph_naive_full(params):
     long_pairs = np.column_stack([iu[eligible][accept], iv[eligible][accept]])
     return assemble_lexsort(params, long_pairs, z)
 
+
+# Quadratic reference sampler refuses graphs above this many vertices.  Its
+# cost is time, quadratic in N: at n = 24 (N = 2401, the largest n under the
+# cap) one call takes 0.12-0.14 s and raises peak RSS by about 3 MB, because
+# it holds only _NAIVE_BLOCK_ROWS rows of the pair triangle at once (2-vCPU
+# Xeon VM, numpy 2.4).
+NAIVE_SAMPLER_MAX_VERTICES = 2500
+_NAIVE_BLOCK_ROWS = 16
+
+
+def sample_graph_naive(params: ModelParams) -> SmallWorldGraph:
+    """Quadratic reference sampler: one Bernoulli draw per vertex pair.
+
+    Same model law as :func:`swmix.generate.sample_graph` but a different
+    stream layout, so the two are compared statistically, not edge for edge.
+
+    Raises:
+        CapacityError: if N exceeds NAIVE_SAMPLER_MAX_VERTICES.
+        ValueError: if r is not finite or the normalizer underflows to zero.
+    """
+    z = _sampling_normalizer(params.n, params.r)
+    n, r = params.n, params.r
+    N = num_vertices(n)
+    if N > NAIVE_SAMPLER_MAX_VERTICES:
+        raise CapacityError(
+            f"reference sampler is quadratic; N={N} exceeds cap {NAIVE_SAMPLER_MAX_VERTICES}"
+        )
+    side = 2 * n + 1
+    gx, gy = np.divmod(np.arange(N), side)
+    rng = _stream(params.seed, 1)
+    long_pairs = [np.empty((0, 2), np.int64)]
+    # The upper triangle goes in blocks of rows, in row-major order.  Each
+    # rng.random call continues the same stream, so every eligible pair meets
+    # the same uniform as in one draw over the whole triangle.
+    for lo in range(0, N, _NAIVE_BLOCK_ROWS):
+        u = np.arange(lo, min(lo + _NAIVE_BLOCK_ROWS, N))
+        v = np.arange(lo + 1, N)
+        dx = np.abs(gx[u, None] - gx[None, v])
+        dy = np.abs(gy[u, None] - gy[None, v])
+        dist = np.minimum(dx, side - dx) + np.minimum(dy, side - dy)
+        iu, iv = np.nonzero((v[None, :] > u[:, None]) & (dist >= 2))
+        probs = dist[iu, iv].astype(np.float64) ** -r / z
+        accept = rng.random(probs.size) < probs
+        long_pairs.append(np.column_stack([u[iu[accept]], v[iv[accept]]]))
+    return _assemble(params, np.concatenate(long_pairs), z)
+
+
+# The subset scan refuses graphs above this many vertices.  At N = 25 it
+# takes about 3.8 s over all subsets and 6.1 s connected-only (2-vCPU Xeon,
+# one BLAS thread); every vertex more doubles it.
+BRUTE_ALL_SUBSETS_MAX_VERTICES = 25
+_SCAN_CHUNK = 1 << 18  # codes per chunk: 2 MB per int64 column
+
+
+def _is_connected(code: int, nbr) -> bool:
+    """Whether the set with bit code `code` induces a connected subgraph: grow
+    a mask from its lowest bit through the neighbour masks to a fixed point."""
+    reach, grown = 0, code & -code
+    while grown != reach:
+        reach = rest = grown
+        while rest:
+            low = rest & -rest
+            grown |= nbr[low.bit_length() - 1]
+            rest ^= low
+        grown &= code
+    return reach == code
+
+
+def min_conductance_bruteforce(graph: SmallWorldGraph, connected_only=False):
+    """Exhaustive minimum conductance; returns (phi, witness mask).
+
+    One scan over the subset codes (bit v set when vertex v is in S) serves
+    both modes, so both share the BRUTE_ALL_SUBSETS_MAX_VERTICES cap.  Per
+    chunk of codes, the cut is d(S) minus the internal edge ends,
+    popcount(S & nbr[v]) summed over v in S (the graph is simple), and phi
+    comes from the same formula as `swmix.conductance`, float for float.  That
+    formula gives S and its complement the same phi bit for bit, and of the
+    two the smaller code leaves bit N - 1 clear, so over all subsets the scan
+    covers codes 1 .. 2^(N-1) - 1 only.  With connected_only=True it covers
+    1 .. 2^N - 2, since the complement of a connected set need not be
+    connected, and the codes that beat the running best are tested in phi
+    order until one induces a connected subgraph.
+
+    The witness is the smallest code sum(2^v) among the minimisers, in
+    either mode; any other minimiser has the same phi.
+
+    Raises:
+        CapacityError: above BRUTE_ALL_SUBSETS_MAX_VERTICES vertices.
+    """
+    N = graph.num_vertices
+    if N > BRUTE_ALL_SUBSETS_MAX_VERTICES:
+        raise CapacityError(
+            f"subset scan capped at {BRUTE_ALL_SUBSETS_MAX_VERTICES} vertices, got {N}"
+        )
+    bit = np.uint32(1) << np.arange(N, dtype=np.uint32)
+    # every row is non-empty: each vertex has its four torus edges
+    nbr = np.bitwise_or.reduceat(bit[graph.indices], graph.indptr[:-1]).tolist()
+    degrees = graph.degrees
+    best_phi, best_code = math.inf, None
+    stop = 2**N - 1 if connected_only else 2 ** (N - 1)
+    for lo in range(1, stop, _SCAN_CHUNK):
+        codes = np.arange(lo, min(lo + _SCAN_CHUNK, stop), dtype=np.uint32)
+        dsum = np.zeros(codes.size, dtype=np.int64)
+        inner = np.zeros(codes.size, dtype=np.int64)
+        for v in range(N):
+            has = (codes >> v) & 1
+            dsum += has * degrees[v]
+            inner += has * np.bitwise_count(codes & nbr[v])
+        phi = _conductance_from(graph, dsum - inner, dsum)
+        if connected_only:
+            cand = np.flatnonzero(phi < best_phi)
+            for i in cand[np.argsort(phi[cand], kind="stable")].tolist():
+                if _is_connected(lo + i, nbr):
+                    best_phi, best_code = float(phi[i]), lo + i
+                    break
+        else:
+            i = int(np.argmin(phi))
+            if phi[i] < best_phi:
+                best_phi, best_code = float(phi[i]), lo + i
+    witness = ((best_code >> np.arange(N)) & 1).astype(bool)
+    return best_phi, witness

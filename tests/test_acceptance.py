@@ -30,7 +30,6 @@ from swmix import (
     relaxation_bounds,
     run_sweep,
     sample_graph,
-    sample_graph_naive,
     stationary,
     torus_boundary_count,
     torus_distance,
@@ -152,7 +151,7 @@ def test_c03_sampler_distribution_match(capsys):
         fast += _long_range_distance_counts(g)
         totals.append(len(g.long_range_edges))
     for s in range(num_seeds):
-        g = sample_graph_naive(ModelParams(n=n, r=r, seed=10_000 + s))
+        g = oracles.sample_graph_naive(ModelParams(n=n, r=r, seed=10_000 + s))
         naive += _long_range_distance_counts(g)
     table = _pool_columns(np.vstack([fast, naive]))
     _, p, dof, _ = scipy.stats.chi2_contingency(table)

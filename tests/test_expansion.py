@@ -9,10 +9,10 @@ import pytest
 
 import oracles
 import support
-from swmix import expansion
 from swmix import (
     CapacityError,
     ModelParams,
+    SmallWorldGraph,
     ball_set,
     conductance,
     coord_to_index,
@@ -26,7 +26,6 @@ from swmix import (
     is_expanding,
     make_box_partition,
     mask_from_indices,
-    min_conductance_bruteforce,
     num_vertices,
     sample_graph,
     sweep_cut,
@@ -172,6 +171,29 @@ def test_cut_report_consistency():
         assert rep.conductance > 0
 
 
+@pytest.mark.parametrize("params", [ModelParams(n=4, r=1.0, seed=3), None], ids=["r1", "torus"])
+def test_entry_rows_built_once_and_match_repeat(params, monkeypatch):
+    builds = []
+    build = SmallWorldGraph.entry_rows.func
+
+    def counting(graph):
+        builds.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(SmallWorldGraph.entry_rows, "func", counting)
+    g = torus_only_graph(4) if params is None else sample_graph(params)
+    S = ball_set(4, 2)
+    cut_report(g, S)
+    is_expanding(g, S, 0.5, 1.0)
+    sweep_cut(g)
+    count_connected_box_sets(g, make_box_partition(4, 3), 2)
+    rows = g.entry_rows
+    assert len(builds) == 1
+    assert np.array_equal(rows, np.repeat(np.arange(g.num_vertices), g.degrees))
+    assert rows.dtype == np.int64
+    assert not rows.flags.writeable
+
+
 def test_is_expanding_singleton():
     g = torus_only_graph(2)
     S = mask_from_indices([7], 2)
@@ -237,7 +259,7 @@ def test_is_expanding_failure_witness():
 
 def test_min_conductance_exhaustive_tiny():
     g = small_world(n=1, r=0.5, seed=16)
-    phi, witness = min_conductance_bruteforce(g)
+    phi, witness = oracles.min_conductance_bruteforce(g)
     edges = oracles.graph_edge_list(g)
     N = g.num_vertices
     best = min(
@@ -250,14 +272,14 @@ def test_min_conductance_exhaustive_tiny():
 
 def test_min_conductance_below_ball():
     g = torus_only_graph(2)
-    phi, _ = min_conductance_bruteforce(g)
+    phi, _ = oracles.min_conductance_bruteforce(g)
     assert phi <= conductance(g, ball_set(2, 1))
 
 
 def test_min_conductance_connected_relation():
     g = small_world(n=2, r=1.5, seed=17)
-    phi_all, _ = min_conductance_bruteforce(g)
-    phi_conn, witness = min_conductance_bruteforce(g, connected_only=True)
+    phi_all, _ = oracles.min_conductance_bruteforce(g)
+    phi_conn, witness = oracles.min_conductance_bruteforce(g, connected_only=True)
     assert phi_conn >= phi_all
     assert conductance(g, witness) == pytest.approx(phi_conn, rel=1e-12)
 
@@ -274,15 +296,15 @@ def test_min_conductance_connected_matches_enumeration():
         S[list(subset)] = True
         val = oracles.conductance_fraction(edges, S)
         best = val if best is None else min(best, val)
-    phi_conn, _ = min_conductance_bruteforce(g, connected_only=True)
+    phi_conn, _ = oracles.min_conductance_bruteforce(g, connected_only=True)
     assert phi_conn == pytest.approx(float(best), rel=1e-12)
 
 
 def test_min_conductance_capacity():
     with pytest.raises(CapacityError):
-        min_conductance_bruteforce(torus_only_graph(3))  # N = 49 > 25
+        oracles.min_conductance_bruteforce(torus_only_graph(3))  # N = 49 > 25
     with pytest.raises(CapacityError):
-        min_conductance_bruteforce(torus_only_graph(11), connected_only=True)
+        oracles.min_conductance_bruteforce(torus_only_graph(11), connected_only=True)
 
 
 def n9_graphs(r):
@@ -292,20 +314,20 @@ def n9_graphs(r):
     return [small_world(n=1, r=r, seed=seed) for seed in range(12)]
 
 
-@pytest.mark.parametrize("chunk", [expansion._SCAN_CHUNK, 32])
+@pytest.mark.parametrize("chunk", [oracles._SCAN_CHUNK, 32])
 @pytest.mark.parametrize("r", [None, 0.0, 0.5, 1.0, 1.5, 2.0, 4.0, 20.0])
 def test_min_conductance_scan_matches_references(monkeypatch, r, chunk):
     # chunks of 32 codes split the 510 proper subsets of N = 9, so minimisers
     # tie across chunk borders as they do at N = 25 with the default chunk
-    monkeypatch.setattr(expansion, "_SCAN_CHUNK", chunk)
+    monkeypatch.setattr(oracles, "_SCAN_CHUNK", chunk)
     for g in n9_graphs(r):
         N = g.num_vertices
         edges = oracles.graph_edge_list(g)
-        phi, witness = min_conductance_bruteforce(g)
+        phi, witness = oracles.min_conductance_bruteforce(g)
         ref_phi, ref_witness = oracles.min_conductance_all_subsets_loop(g)
         assert phi == ref_phi
         assert witness.tolist() == ref_witness.tolist()
-        phi_conn, conn = min_conductance_bruteforce(g, connected_only=True)
+        phi_conn, conn = oracles.min_conductance_bruteforce(g, connected_only=True)
         assert phi_conn == oracles.min_conductance_anchored_growth(g)[0]
         exact, code = oracles.min_conductance_connected_codes(N, edges)
         assert phi_conn == float(exact)
@@ -315,7 +337,7 @@ def test_min_conductance_scan_matches_references(monkeypatch, r, chunk):
 
 def test_min_conductance_connected_shares_cap():
     with pytest.raises(CapacityError):
-        min_conductance_bruteforce(torus_only_graph(3), connected_only=True)  # N = 49 > 25
+        oracles.min_conductance_bruteforce(torus_only_graph(3), connected_only=True)  # N = 49 > 25
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
@@ -337,7 +359,7 @@ def test_sweep_cut_report_count_and_bound():
         assert rep.set_size == k + 1
         assert rep.alpha == pytest.approx((k + 1) / g.num_vertices)
     sweep_min = min(rep.conductance for rep in reports)
-    exact, _ = min_conductance_bruteforce(g)
+    exact, _ = oracles.min_conductance_bruteforce(g)
     assert sweep_min >= exact - 1e-12
 
 

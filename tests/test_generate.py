@@ -19,7 +19,6 @@ from swmix import (
     num_vertices,
     ring_size,
     sample_graph,
-    sample_graph_naive,
     save_graph,
     torus_distance,
     torus_only_graph,
@@ -106,6 +105,9 @@ def test_edge_probability_domain():
         edge_probability(4, math.inf, 2)
     with pytest.raises(ValueError, match="underflowed"):
         edge_probability(3, 2000.0, 2)
+    with pytest.raises(TypeError):
+        edge_probability(3, 2.0, 2.5)  # no pair lies at a fractional distance
+    assert edge_probability(3, 2.0, np.int64(2)) == edge_probability(3, 2.0, 2)
 
 
 def test_sampler_is_deterministic():
@@ -142,7 +144,7 @@ def test_sampler_matches_setloop_oracle():
 
 def test_sampler_normalizer_underflow():
     params = ModelParams(n=3, r=2000.0, seed=0)
-    for sampler in (sample_graph, sample_graph_naive, oracles.sample_graph_setloop):
+    for sampler in (sample_graph, oracles.sample_graph_naive, oracles.sample_graph_setloop):
         with pytest.raises(ValueError, match="underflowed"):
             sampler(params)
 
@@ -154,7 +156,7 @@ def test_assemble_ignores_pair_order_and_orientation():
     shuffled = pairs[np.random.default_rng(0).permutation(len(pairs))]
     for variant in (pairs[::-1], pairs[:, ::-1], shuffled, shuffled[:, ::-1]):
         _assert_same_graph(_assemble(g.params, variant.copy(), g.normalizer), g)
-    naive = sample_graph_naive(ModelParams(n=4, r=1.0, seed=9))
+    naive = oracles.sample_graph_naive(ModelParams(n=4, r=1.0, seed=9))
     swapped = np.array(naive.long_range_edges)[::-1, ::-1].copy()
     _assert_same_graph(_assemble(naive.params, swapped, naive.normalizer),
                        oracles.assemble_lexsort(naive.params, swapped, naive.normalizer))
@@ -181,6 +183,23 @@ def test_sampled_graph_structure():
         assert v not in nb
     sym_gap = (g.adjacency != g.adjacency.T).nnz
     assert sym_gap == 0
+
+
+def test_degree_and_neighbours_follow_the_vertex_rule():
+    g = sample_graph(ModelParams(n=3, r=1.0, seed=4))
+    N = g.num_vertices
+    for v in (-1, N):
+        with pytest.raises(ValueError):
+            g.degree(v)
+        with pytest.raises(ValueError):
+            g.neighbours(v)
+    for v in (2.5, 1.0, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            g.degree(v)
+        with pytest.raises(TypeError):
+            g.neighbours(v)
+    last = np.int64(N - 1)
+    assert g.degree(last) == g.neighbours(last).size == g.degrees[-1]
 
 
 def test_long_range_edges_sorted_distant_pairs():
@@ -236,13 +255,13 @@ def test_per_distance_class_moments():
 
 
 def test_naive_sampler_matches_structure():
-    g = sample_graph_naive(ModelParams(n=4, r=1.0, seed=9))
+    g = oracles.sample_graph_naive(ModelParams(n=4, r=1.0, seed=9))
     assert g.degrees.min() >= 4
     assert g.degrees.sum() == 2 * g.edge_count
     for u, v in g.long_range_edges:
         d = torus_distance(index_to_coord(int(u), 4), index_to_coord(int(v), 4), 4)
         assert d >= 2
-    again = sample_graph_naive(ModelParams(n=4, r=1.0, seed=9))
+    again = oracles.sample_graph_naive(ModelParams(n=4, r=1.0, seed=9))
     assert np.array_equal(g.long_range_edges, again.long_range_edges)
 
 
@@ -252,7 +271,7 @@ def test_naive_sampler_matches_full_matrix_oracle(n):
     for r in (0.0, 1.0, 2.0, 4.0, 20.0):
         for seed in (0, 7):
             params = ModelParams(n=n, r=r, seed=seed)
-            _assert_same_graph(sample_graph_naive(params), oracles.sample_graph_naive_full(params))
+            _assert_same_graph(oracles.sample_graph_naive(params), oracles.sample_graph_naive_full(params))
 
 
 def test_naive_sampler_mean_degree():
@@ -260,7 +279,7 @@ def test_naive_sampler_mean_degree():
     n, seeds = 8, 100
     N = num_vertices(n)
     means = [
-        2 * sample_graph_naive(ModelParams(n=n, r=1.0, seed=s)).edge_count / N
+        2 * oracles.sample_graph_naive(ModelParams(n=n, r=1.0, seed=s)).edge_count / N
         for s in range(seeds)
     ]
     assert abs(np.mean(means) - 5.0) < 0.03
@@ -270,7 +289,7 @@ def test_naive_sampler_extreme_exponent_hugs_distance_two():
     n = 6
     near = total = 0
     for s in range(20):
-        g = sample_graph_naive(ModelParams(n=n, r=20.0, seed=s))
+        g = oracles.sample_graph_naive(ModelParams(n=n, r=20.0, seed=s))
         for u, v in g.long_range_edges:
             d = torus_distance(index_to_coord(int(u), n), index_to_coord(int(v), n), n)
             total += 1
@@ -281,7 +300,7 @@ def test_naive_sampler_extreme_exponent_hugs_distance_two():
 
 def test_naive_sampler_capacity():
     with pytest.raises(CapacityError):
-        sample_graph_naive(ModelParams(n=25, r=1.0, seed=0))
+        oracles.sample_graph_naive(ModelParams(n=25, r=1.0, seed=0))
 
 
 def test_fast_and_naive_total_count_agree():
@@ -293,7 +312,7 @@ def test_fast_and_naive_total_count_agree():
         for s in range(seeds)
     ]
     naive = [
-        sample_graph_naive(ModelParams(n=n, r=r, seed=10_000 + s)).long_range_edges.shape[0]
+        oracles.sample_graph_naive(ModelParams(n=n, r=r, seed=10_000 + s)).long_range_edges.shape[0]
         for s in range(seeds)
     ]
     se = math.sqrt((np.var(fast) + np.var(naive)) / seeds)

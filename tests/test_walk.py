@@ -344,11 +344,12 @@ def test_second_eigenpair_matches_dense():
         assert 0.0 < 1.0 - lam <= 1.0
 
 
-def test_second_eigenpair_iteration_cap():
+def test_second_eigenpair_iteration_cap(monkeypatch):
     g = sample_graph(ModelParams(n=6, r=1.0, seed=3))
     lam, _ = second_eigenpair(g)
+    monkeypatch.setattr(walk, "_MAX_RESTARTS", 1)
     with pytest.raises(ConvergenceError) as info:
-        second_eigenpair(g, max_iter=1)
+        second_eigenpair(g)
     err = info.value
     assert err.iterations == 1
     assert err.last_iterate.shape == (g.num_vertices,)
