@@ -24,7 +24,7 @@ from itertools import count
 
 import numpy as np
 
-from .torus import _vertex, _vertices
+from .torus import _integer, _vertices
 
 __all__ = ["bfs_distances", "double_sweep", "eccentricities", "exact_diameter"]
 
@@ -33,7 +33,7 @@ _ECC_BATCH = 256
 
 def bfs_distances(graph, source) -> np.ndarray:
     """Hop distances from source to every vertex (-1 if unreachable)."""
-    source = _vertex(source, graph.num_vertices, "source vertex")
+    source = _integer(source, "source vertex", 0, graph.num_vertices)
     _, rank, _ = graph.neighbour_slots
     front = np.zeros(graph.num_vertices, dtype=bool)
     front[rank[source]] = True

@@ -19,6 +19,7 @@ from . import harness
 from ._version import __version__
 from .errors import CapacityError, ConvergenceError
 from .generate import ModelParams, sample_graph, save_graph
+from .walk import _START_POLICIES
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     mix = _cell_parser(sub, "mix", "mix", "mixing time, spectral gap, and diameter per seed")
-    mix.add_argument("--starts", choices=("auto", "all", "heuristic"), help="mixing start policy")
+    mix.add_argument("--starts", choices=_START_POLICIES, help="mixing start policy")
 
     con = _cell_parser(sub, "conductance", "conductance", "ball-cut conductance report per seed")
     con.add_argument("--ball-frac", type=float, help="ball radius fraction of n")

@@ -20,7 +20,6 @@ O(|S| log |S|) despite quantifying over exponentially many subsets.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import bfs
 from .errors import CapacityError
 from .generate import SmallWorldGraph
-from .torus import BoxPartition, _as_mask, _check_n
+from .torus import BoxPartition, _as_mask, _check_n, _integer, _split
 from .walk import second_eigenpair
 
 __all__ = [
@@ -233,11 +232,9 @@ def ball_set(n, radius) -> np.ndarray:
     [1, n] so the ball never wraps onto itself.
     """
     n = _check_n(n)
-    if not isinstance(radius, (int, np.integer)) or not 1 <= radius <= n:
-        raise ValueError(f"radius must be an integer in [1, n={n}], got {radius!r}")
-    side = 2 * n + 1
-    gx, gy = np.divmod(np.arange(side * side), side)
-    return (np.abs(gx - n) + np.abs(gy - n)) <= radius
+    radius = _check_n(radius, "radius", n)
+    x, y = _split(np.arange((2 * n + 1) ** 2), n)
+    return (np.abs(x) + np.abs(y)) <= radius
 
 
 def count_connected_box_sets(graph: SmallWorldGraph, partition: BoxPartition, q) -> int:
@@ -259,9 +256,7 @@ def count_connected_box_sets(graph: SmallWorldGraph, partition: BoxPartition, q)
     """
     if partition.n != graph.n:
         raise ValueError("partition and graph have different torus parameters")
-    q = operator.index(q)
-    if not 1 <= q:
-        raise ValueError(f"q must be >= 1, got {q!r}")
+    q = _integer(q, "q", 1)
     if q > BOX_SET_MAX_SIZE:
         raise CapacityError(f"box-set size capped at {BOX_SET_MAX_SIZE}, got q={q}")
     Q = partition.num_boxes

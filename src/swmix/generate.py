@@ -46,7 +46,6 @@ independently of evaluation order.  The spawn keys, one purpose each:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -56,7 +55,8 @@ import scipy.sparse
 from .errors import GraphFormatError
 from .torus import (
     _check_n,
-    _vertex,
+    _integer,
+    _shift,
     num_vertices,
     ring_size,
     ring_table,
@@ -142,9 +142,7 @@ def edge_probability(n, r, distance) -> float:
         ValueError: if distance is outside [2, 2n], r is not finite, or Z
             underflows to zero.
     """
-    distance = operator.index(distance)
-    if not 2 <= distance <= 2 * n:
-        raise ValueError(f"long-range distance must lie in [2, 2n = {2 * n}], got {distance}")
+    distance = _integer(distance, "long-range distance", 2, 2 * n + 1)
     return float(distance) ** -float(r) / _sampling_normalizer(n, r)
 
 
@@ -177,11 +175,11 @@ class SmallWorldGraph:
         return self.params.n
 
     def degree(self, v) -> int:
-        return int(self.degrees[_vertex(v, self.num_vertices, "vertex")])
+        return int(self.degrees[_integer(v, "vertex", 0, self.num_vertices)])
 
     def neighbours(self, v) -> np.ndarray:
         """Sorted canonical indices adjacent to v (read-only view)."""
-        v = _vertex(v, self.num_vertices, "vertex")
+        v = _integer(v, "vertex", 0, self.num_vertices)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     @cached_property
@@ -263,7 +261,6 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
     """
     n, r = params.n, params.r
     N = num_vertices(n)
-    side = 2 * n + 1
     dists = range(2, 2 * n + 1)
     rngs = [_stream(params.seed, d) for d in dists]
     sizes = [ring_size(d, n) for d in dists]
@@ -281,8 +278,7 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
         u = np.concatenate([rngs[c].integers(0, N, size=b) for c, b in zip(active, batches)])
         oi = np.concatenate([rngs[c].integers(0, sizes[c], size=b) + base[c] for c, b in zip(active, batches)])
         cls = np.repeat(active, batches)
-        gx, gy = np.divmod(u, side)
-        w = (gx + offsets[oi, 0]) % side * side + (gy + offsets[oi, 1]) % side
+        w = _shift(u, offsets[oi, 0], offsets[oi, 1], n)
         keys = np.minimum(u, w) * N + np.maximum(u, w)
         uniq, first = np.unique(keys, return_index=True)
         first = np.sort(first[~np.isin(uniq, np.concatenate(chosen))])

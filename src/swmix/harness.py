@@ -27,7 +27,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -39,8 +38,8 @@ from . import expansion
 from ._version import __version__
 from .errors import CapacityError
 from .generate import ModelParams, SmallWorldGraph, _sampling_normalizer, _seed64, _stream, sample_graph
-from .torus import _check_n, _vertex, make_box_partition, mask_from_indices, num_vertices
-from .walk import EXACT_STARTS_MAX_VERTICES, mixing_time, second_eigenpair, stationary
+from .torus import _check_n, _integer, make_box_partition, mask_from_indices, num_vertices
+from .walk import EXACT_STARTS_MAX_VERTICES, _START_POLICIES, mixing_time, second_eigenpair, stationary
 
 __all__ = [
     "EXPERIMENTS",
@@ -106,9 +105,7 @@ def derive_seed(base, n, r, replicate) -> int:
     """
     base = _seed64(base, "seed base")
     n = _check_n(n)
-    replicate = operator.index(replicate)
-    if replicate < 0:
-        raise ValueError(f"replicate must be an integer >= 0, got {replicate!r}")
+    replicate = _integer(replicate, "replicate", 0)
     msg = f"{base}:{n}:{float(r).hex()}:{replicate}".encode("ascii")
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
 
@@ -171,8 +168,8 @@ class SweepConfig:
         else:
             object.__setattr__(self, "num_seeds", _check_n(self.num_seeds, "num_seeds"))
         object.__setattr__(self, "seed_base", _seed64(self.seed_base, "seed_base"))
-        if self.starts not in ("auto", "all", "heuristic"):
-            raise ValueError(f"starts must be 'auto', 'all', or 'heuristic', got {self.starts!r}")
+        if self.starts not in _START_POLICIES:
+            raise ValueError(f"starts must be one of {_START_POLICIES}, got {self.starts!r}")
         if not 0 < float(self.ball_frac) < 1:
             raise ValueError(f"ball_frac must lie in (0, 1), got {self.ball_frac!r}")
         object.__setattr__(self, "ball_frac", float(self.ball_frac))
@@ -387,13 +384,12 @@ def greedy_route(graph: SmallWorldGraph, source, target, hop_cap=None) -> Routin
         ValueError: for out-of-range vertices or hop_cap < 1.
     """
     N = graph.num_vertices
-    source = _vertex(source, N, "source vertex")
-    target = _vertex(target, N, "target vertex")
-    hop_cap = 10 * N if hop_cap is None else operator.index(hop_cap)
-    if hop_cap < 1:
-        raise ValueError(f"hop_cap must be >= 1, got {hop_cap!r}")
+    source = _integer(source, "source vertex", 0, N)
+    target = _integer(target, "target vertex", 0, N)
+    hop_cap = 10 * N if hop_cap is None else _integer(hop_cap, "hop_cap", 1)
     n = graph.n
     side = 2 * n + 1
+    # plain int arithmetic rather than torus._split: numpy calls would dominate a 2 us hop
     tx, ty = divmod(target, side)
     # memoryview items are plain Python ints, with no numpy scalar per index
     indptr, indices = memoryview(graph.indptr), memoryview(graph.indices)
@@ -551,7 +547,10 @@ def emit(records, fmt, path, config: SweepConfig) -> None:
         fh.write(text)
 
 
-def _record_from_row(row: dict) -> ExperimentRecord:
+def _record_from_row(row) -> ExperimentRecord:
+    missing = [name for name in _COMMON_FIELDS if not isinstance(row, dict) or name not in row]
+    if missing:
+        raise ValueError(f"record row {row!r} lacks the common columns {missing}")
     common = {name: row[name] for name in _COMMON_FIELDS}
     values = {k: v for k, v in row.items() if k not in _COMMON_FIELDS}
     return ExperimentRecord(values=values, **common)
@@ -569,7 +568,7 @@ def load_records(path):
         text = fh.read()
     if text.lstrip().startswith("["):
         payload = json.loads(text)
-        if not payload or "manifest" not in payload[-1]:
+        if not payload or not isinstance(payload[-1], dict) or "manifest" not in payload[-1]:
             raise ValueError("missing trailing manifest object")
         manifest = payload[-1]["manifest"]
         rows = payload[:-1]
@@ -580,6 +579,8 @@ def load_records(path):
         manifest = dict(
             item.split("=", 1) for item in lines[-1][len("# manifest ") :].split()
         )
+        if "seed_base" not in manifest:
+            raise ValueError("manifest line lacks seed_base")
         manifest["seed_base"] = int(manifest["seed_base"])
         columns = lines[0].split(",")
         rows = []

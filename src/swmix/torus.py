@@ -13,9 +13,11 @@ Vertices are addressed throughout the package by a canonical index
 
 so index 0 is the corner ``(-n, -n)`` and indices increase x-major.  Vertex
 subsets are plain boolean masks of length ``N = (2n+1)^2`` over canonical
-indices.  Here and in every module, an index or coordinate argument that is
-not an integer (numpy integers pass) raises TypeError, and one outside
-[0, N) or [-n, n] raises ValueError.
+indices, and _split and _shift hold the package's index arithmetic.  Here
+and in every module, an integer argument raises TypeError for a non-integer
+(numpy integers pass) and ValueError out of range (_integer and the array
+checks), except n, the ball radius, the box side, the sweep-config counts
+(_check_n) and seeds (generate._seed64), which raise ValueError for both.
 
 The module also provides the box partition used by the expansion analysis:
 a deterministic tiling of the grid into axis-aligned rectangles whose sides
@@ -41,7 +43,6 @@ __all__ = [
     "ring_offsets",
     "ring_table",
     "torus_neighbor_indices",
-    "torus_edge_boundary",
     "torus_boundary_count",
     "mask_from_indices",
     "BoxPartition",
@@ -51,19 +52,20 @@ __all__ = [
 ]
 
 
-def _check_n(n, what: str = "torus parameter n") -> int:
-    """n as an int, if it is an integer >= 1: the torus parameter, or any other count."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {n!r}")
+def _check_n(n, what: str = "torus parameter n", hi: int | None = None) -> int:
+    """n as an int, if it is an integer in [1, hi] (no upper end when hi is None)."""
+    if not isinstance(n, (int, np.integer)) or n < 1 or (hi is not None and n > hi):
+        bound = ">= 1" if hi is None else f"in [1, {hi}]"
+        raise ValueError(f"{what} must be an integer {bound}, got {n!r}")
     return int(n)
 
 
-def _vertex(v, N: int, what: str) -> int:
-    """v as a vertex index in [0, N), by the rule in the module docstring."""
-    v = operator.index(v)
-    if not 0 <= v < N:
-        raise ValueError(f"{what} {v} out of range [0, {N})")
-    return v
+def _integer(value, what: str, lo: int, stop: int | None = None) -> int:
+    """value as an int in [lo, stop) (no upper end when stop is None), by the rule in the module docstring."""
+    value = operator.index(value)
+    if value < lo or (stop is not None and value >= stop):
+        raise ValueError(f"{what} {value} out of range [{lo}, {'inf' if stop is None else stop})")
+    return value
 
 
 def _vertices(a, N: int, what: str) -> np.ndarray:
@@ -84,6 +86,19 @@ def _coords(a, n: int) -> np.ndarray:
     if np.any(np.abs(a) > n):
         raise ValueError(f"coordinates must lie in [-{n}, {n}]")
     return a.astype(np.int64, copy=False)
+
+
+def _split(index, n: int):
+    """Coordinates (x, y) of canonical indices, scalars or arrays, unchecked."""
+    x, y = np.divmod(index, 2 * n + 1)
+    return x - n, y - n
+
+
+def _shift(index, dx, dy, n: int):
+    """Canonical index of index + (dx, dy) with wraparound; broadcasts, unchecked."""
+    side = 2 * n + 1
+    x, y = _split(index, n)
+    return (x + dx + n) % side * side + (y + dy + n) % side
 
 
 def num_vertices(n) -> int:
@@ -107,10 +122,8 @@ def coord_to_index(x, y, n):
 def index_to_coord(index, n):
     """Inverse of :func:`coord_to_index`; returns (x, y) scalars or arrays."""
     n = _check_n(n)
-    side = 2 * n + 1
-    index = _vertices(index, side * side, "canonical indices")
-    x = index // side - n
-    y = index % side - n
+    index = _vertices(index, (2 * n + 1) ** 2, "canonical indices")
+    x, y = _split(index, n)
     if index.ndim == 0:
         return int(x), int(y)
     return x, y
@@ -142,9 +155,7 @@ def ring_size(ell, n) -> int:
     past ell = n because of the wraparound.
     """
     n = _check_n(n)
-    ell = operator.index(ell)
-    if not 1 <= ell <= 2 * n:
-        raise ValueError(f"ring distance must satisfy 1 <= ell <= 2n = {2 * n}, got {ell}")
+    ell = _integer(ell, "ring distance", 1, 2 * n + 1)
     return 4 * min(ell, 2 * n + 1 - ell)
 
 
@@ -159,9 +170,7 @@ def ring_table(n) -> tuple:
     ring exactly.
     """
     n = _check_n(n)
-    a, b = np.divmod(np.arange((2 * n + 1) ** 2, dtype=np.int64), 2 * n + 1)
-    a -= n
-    b -= n
+    a, b = _split(np.arange((2 * n + 1) ** 2, dtype=np.int64), n)
     ell = np.abs(a) + np.abs(b)
     order = np.lexsort((b, a, ell))
     offsets = np.column_stack((a[order], b[order]))
@@ -200,18 +209,14 @@ def ring(v, ell, n) -> np.ndarray:
 @lru_cache(maxsize=None)
 def torus_neighbor_indices(n: int) -> np.ndarray:
     """Read-only (N, 4) array of canonical neighbour indices (+x, -x, +y, -y)."""
-    _check_n(n)
+    n = _check_n(n)
     side = 2 * n + 1
-    grid = np.arange(side * side).reshape(side, side)
-    out = np.stack(
-        [
-            np.roll(grid, -1, axis=0),
-            np.roll(grid, 1, axis=0),
-            np.roll(grid, -1, axis=1),
-            np.roll(grid, 1, axis=1),
-        ],
-        axis=-1,
-    ).reshape(side * side, 4)
+    # an index is its row's first index plus its column, so each axis shifts on
+    # its own and the table costs O(side) divisions rather than O(N)
+    rows, cols = np.arange(0, side * side, side), np.arange(side)
+    x_moves = [_shift(rows, dx, 0, n)[:, None] + cols for dx in (1, -1)]
+    y_moves = [rows[:, None] + _shift(cols, 0, dy, n) for dy in (1, -1)]
+    out = np.stack(x_moves + y_moves, axis=-1).reshape(side * side, 4)
     out.setflags(write=False)
     return out
 
@@ -231,33 +236,6 @@ def mask_from_indices(indices, n) -> np.ndarray:
     mask = np.zeros(N, dtype=bool)
     mask[_vertices(indices, N, "canonical indices")] = True
     return mask
-
-
-def torus_edge_boundary(S, n) -> np.ndarray:
-    """Torus edges with exactly one endpoint in S.
-
-    Args:
-        S: bool mask of length N.
-        n: torus parameter.
-
-    Returns:
-        Array of shape (k, 2) of canonical index pairs (u, v) with u < v,
-        sorted lexicographically.  Only grid edges are considered; long-range
-        edges of a sampled graph are handled by the graph-level boundary ops.
-    """
-    n = _check_n(n)
-    S = _as_mask(S, n)
-    nbr = torus_neighbor_indices(n)
-    u = np.arange(S.size)
-    rows = []
-    for axis in (0, 2):  # +x and +y cover each undirected grid edge once
-        w = nbr[:, axis]
-        cut = S != S[w]
-        rows.append(np.column_stack([u[cut], w[cut]]))
-    edges = np.concatenate(rows, axis=0)
-    edges.sort(axis=1)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[order]
 
 
 def torus_boundary_count(S, n):
@@ -315,9 +293,7 @@ def make_box_partition(n, box_side) -> BoxPartition:
         ValueError: if box_side is outside [1, n].
     """
     n = _check_n(n)
-    if not isinstance(box_side, (int, np.integer)) or not 1 <= box_side <= n:
-        raise ValueError(f"box_side must be an integer in [1, n={n}], got {box_side!r}")
-    box_side = int(box_side)
+    box_side = _check_n(box_side, "box_side", n)
     side = 2 * n + 1
     k = side // box_side
     rem = side - k * box_side

@@ -17,24 +17,23 @@ on the symmetrized kernel.
 
 With ``starts="all"`` the estimate is exact.  Above EXACT_STARTS_MAX_VERTICES
 vertices the ``"auto"`` policy switches to a documented heuristic start set,
-the far vertex of a double BFS sweep plus 32 seeded uniform vertices, and the
+the vertex farthest from vertex 0 plus 32 seeded uniform vertices, and the
 result is labeled as a lower estimate (``exact=False``).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .bfs import double_sweep
+from .bfs import bfs_distances
 from .errors import ConvergenceError
 from .generate import SmallWorldGraph, _stream
-from .torus import _vertex, _vertices
+from .torus import _integer, _vertices
 
 __all__ = [
     "EXACT_STARTS_MAX_VERTICES",
@@ -57,7 +56,10 @@ __all__ = [
 # 2-vCPU Xeon VM).  perfbench/check.py hard-codes 400 for t_mix_exact, so both move together.
 EXACT_STARTS_MAX_VERTICES = 400
 
-# Uniform vertices drawn for the heuristic start set, beside the double-sweep far vertex.
+# Names of the start policies, in the order the CLI lists them.
+_START_POLICIES = ("auto", "all", "heuristic")
+
+# Uniform vertices drawn for the heuristic start set, beside the far vertex of vertex 0.
 _RANDOM_STARTS = 32
 
 # Steps between in-place renormalizations of evolved distributions.
@@ -142,9 +144,7 @@ def distance_to_stationarity(graph: SmallWorldGraph, v, t) -> float:
         TypeError: if v or t is not an integer (numpy integers are accepted).
         ValueError: if v is out of range or t is negative.
     """
-    v, t = _vertex(v, graph.num_vertices, "start vertex"), operator.index(t)
-    if t < 0:
-        raise ValueError("step count must be nonnegative")
+    v, t = _integer(v, "start vertex", 0, graph.num_vertices), _integer(t, "step count", 0)
     y = np.zeros((graph.num_vertices, 1))
     y[v, 0] = 1.0
     y = _evolve(_kernel_transpose(graph), y, 0, t)
@@ -169,12 +169,13 @@ class MixingEstimate:
 
 
 def heuristic_start_vertices(graph: SmallWorldGraph) -> np.ndarray:
-    """Start set for large graphs: double-sweep far vertex + seeded uniforms.
+    """Start set for large graphs: the far vertex of vertex 0 + seeded uniforms.
 
-    The random vertices come from the instance seed under spawn_key (0, 1),
-    so the set is a pure function of the graph.
+    The far vertex is the first one at maximum distance from vertex 0, as in
+    bfs.double_sweep.  The random vertices come from the instance seed under
+    spawn_key (0, 1), so the set is a pure function of the graph.
     """
-    far, _, _ = double_sweep(graph)
+    far = int(np.argmax(bfs_distances(graph, 0)))
     rnd = _stream(graph.params.seed, 0, 1).integers(0, graph.num_vertices, size=_RANDOM_STARTS)
     return np.unique(np.concatenate([[far], rnd]))
 
@@ -187,7 +188,7 @@ def _resolve_starts(graph: SmallWorldGraph, starts):
             return np.arange(graph.num_vertices), True
         if starts == "heuristic":
             return heuristic_start_vertices(graph), False
-        raise ValueError(f"starts must be 'all', 'heuristic', 'auto', or vertex indices, got {starts!r}")
+        raise ValueError(f"starts must be one of {_START_POLICIES} or vertex indices, got {starts!r}")
     arr = np.unique(_vertices(starts, graph.num_vertices, "start vertices"))
     if arr.size == 0:
         raise ValueError("start vertices must not be empty")
@@ -346,9 +347,7 @@ def sample_trajectory(graph: SmallWorldGraph, start, steps, rng) -> np.ndarray:
             accepted).
         ValueError: if start is out of range or steps is negative.
     """
-    start, steps = _vertex(start, graph.num_vertices, "start vertex"), operator.index(steps)
-    if steps < 0:
-        raise ValueError("step count must be nonnegative")
+    start, steps = _integer(start, "start vertex", 0, graph.num_vertices), _integer(steps, "step count", 0)
     path = np.empty(steps + 1, dtype=np.int64)
     path[0] = cur = start
     lazy = rng.random(steps)

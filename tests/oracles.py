@@ -90,6 +90,14 @@ def torus_edge_list(n: int):
     return sorted(pairs)
 
 
+def torus_neighbors_roll(n: int) -> np.ndarray:
+    """(N, 4) neighbour table (+x, -x, +y, -y) from np.roll of the index grid."""
+    side = 2 * n + 1
+    grid = np.arange(side * side).reshape(side, side)
+    shifted = [np.roll(grid, -1, axis=0), np.roll(grid, 1, axis=0), np.roll(grid, -1, axis=1), np.roll(grid, 1, axis=1)]
+    return np.stack(shifted, axis=-1).reshape(side * side, 4)
+
+
 def graph_edge_list(graph):
     """All undirected edges: torus moves plus the stored long-range list."""
     pairs = set(torus_edge_list(graph.n))

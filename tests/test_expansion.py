@@ -451,6 +451,10 @@ def test_box_set_count_rejects_non_integer_q():
     with pytest.raises(TypeError):
         count_connected_box_sets(g, part, "2")
     assert count_connected_box_sets(g, part, np.int64(2)) == count_connected_box_sets(g, part, 2)
+    with pytest.raises(ValueError):
+        count_connected_box_sets(g, part, 0)
+    with pytest.raises(ValueError):
+        count_connected_box_sets(g, make_box_partition(4, 2), 2)
 
 
 def test_box_set_capacity():

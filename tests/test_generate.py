@@ -365,6 +365,7 @@ def test_load_rejects_malformed_files(tmp_path):
         ("magic", "xxx 2 1.0 0 0.0 50\n", 1),
         ("tokens", "swg 2 1.0 0 0.0\n", 1),
         ("badint", "swg two 1.0 0 0.0 50\n", 1),
+        ("negr", "swg 2 -1.0 0 0.0 50\n", 1),
         ("count", f"{head} 51\n", 1),
         ("zval", "swg 2 1.0 0 99.0 51\n0 12\n", 1),
         ("vertex", f"{head} 51\n0 99\n", 2),
@@ -372,6 +373,7 @@ def test_load_rejects_malformed_files(tmp_path):
         ("adjacent", f"{head} 51\n0 1\n", 2),
         ("dupe", f"{head} 52\n0 12\n12 0\n", 3),
         ("nonint", f"{head} 51\n0 x\n", 2),
+        ("triple", f"{head} 51\n0 12 3\n", 2),
         ("blank", f"{head} 51\n\n0 12\n", 2),
     ]
     for name, text, lineno in cases:

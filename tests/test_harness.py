@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 import statistics
@@ -91,6 +92,8 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "r_values": (-1.0,)})
     with pytest.raises(ValueError):
         SweepConfig(**{**good, "seeds": (5,)})  # both seeds and num_seeds
+    with pytest.raises(ValueError, match="nonempty"):
+        SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), seeds=())
     with pytest.raises(ValueError):
         SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), seeds=(2**64,), num_seeds=0)
     with pytest.raises(ValueError):
@@ -267,17 +270,23 @@ def test_record_columns_are_typed_by_name(tmp_path):
 
 
 def test_load_records_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("experiment,n\nmix,3\n")
-    with pytest.raises(ValueError):
-        load_records(path)
-    path.write_text("experiment,n\nmix,3,9\n# manifest config_sha256=x seed_base=0 version=y\n")
-    with pytest.raises(ValueError):
-        load_records(path)
-    path = tmp_path / "bad.json"
-    path.write_text("[]\n")
-    with pytest.raises(ValueError):
-        load_records(path)
+    manifest = "# manifest config_sha256=x seed_base=0 version=y\n"
+    row = dict(experiment="mix", r=2.0, seed=7, num_vertices=49, edge_count=98, normalizer=1.5, version="y")
+    header, cells = ",".join(row), ",".join(str(v) for v in row.values())
+    cases = [
+        ("csv", "experiment,n\nmix,3\n", "manifest"),
+        ("csv", "experiment,n\nmix,3,9\n" + manifest, "cells"),
+        ("json", "[]\n", "manifest"),
+        ("csv", f"n,{header}\n3,{cells}\n# manifest config_sha256=x version=y\n", "seed_base"),
+        ("csv", f"{header}\n{cells}\n" + manifest, r"common columns \['n'\]"),
+        ("json", "[1, 2]\n", "manifest"),
+        ("json", json.dumps([row, {"manifest": {"seed_base": 0}}]), r"common columns \['n'\]"),
+    ]
+    for fmt, text, match in cases:
+        path = tmp_path / f"bad.{fmt}"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_records(path)
 
 
 def test_load_sweep_config(tmp_path):
@@ -299,6 +308,9 @@ def test_load_sweep_config(tmp_path):
         experiment="mix", n_values=(3, 5), r_values=(1.0, 2.0), num_seeds=2,
         seed_base=9, starts="heuristic", include_sweep_min=False, output="out.csv",
     )
+    for word, value in (("yes", True), ("No", False)):
+        path.write_text(f"experiment = mix\nn_values = 3\nr_values = 1\nnum_seeds = 1\ninclude_sweep_min = {word}\n")
+        assert load_sweep_config(path).include_sweep_min is value
 
 
 def test_load_sweep_config_explicit_seeds(tmp_path):

@@ -1,16 +1,23 @@
 """Torus geometry: distances, rings, boundaries, box partitions."""
 
+import ast
+import importlib
+import inspect
 import itertools
+import pkgutil
 
 import numpy as np
 import pytest
 
 import oracles
+import swmix
+from swmix import harness, torus
 from swmix import (
     BoxPartition,
     box_core,
     box_core_dichotomy,
     coord_to_index,
+    edge_boundary,
     index_to_coord,
     make_box_partition,
     mask_from_indices,
@@ -20,8 +27,8 @@ from swmix import (
     ring_size,
     torus_boundary_count,
     torus_distance,
-    torus_edge_boundary,
     torus_neighbor_indices,
+    torus_only_graph,
 )
 
 
@@ -108,6 +115,8 @@ def test_ring_size_range_errors():
         ring_size(0, 3)
     with pytest.raises(ValueError):
         ring_size(7, 3)
+    with pytest.raises(ValueError):
+        ring((0, 0, 0), 1, 3)
 
 
 def test_ring_distance_must_be_an_integer():
@@ -168,10 +177,43 @@ def test_torus_neighbor_indices_of_origin():
     assert nbr.tolist() == expect
 
 
+def test_torus_neighbor_indices_match_roll_table():
+    for n in (1, 2, 3, 6, 31):
+        got, expect = torus_neighbor_indices(n), oracles.torus_neighbors_roll(n)
+        assert np.array_equal(got, expect), n
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert not got.flags.writeable
+
+
+def _calls_named(module, name):
+    """Enclosing function and argument sources of every call to `name` (a bare or dotted name) in module."""
+    tree = ast.parse(inspect.getsource(module))
+    return [
+        (func.name, [ast.unparse(arg) for arg in node.args])
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
+    ]
+
+
+def test_index_rules_have_one_home():
+    # operator.index runs only in torus._integer and canonical indices are split only by torus._split
+    assert [func for func, _ in _calls_named(torus, "index")] == ["_integer"]
+    assert [func for func, _ in _calls_named(torus, "divmod")] == ["_split"]
+    others = [info.name for info in pkgutil.iter_modules(swmix.__path__) if info.name != "torus"]
+    for module in (importlib.import_module(f"swmix.{name}") for name in others):
+        assert "import operator" not in inspect.getsource(module), module.__name__
+        for func, (_, divisor) in _calls_named(module, "divmod"):
+            # a pair key lo * N + hi splits by the vertex count; the router splits scalars in its hot loop
+            by_vertex_count = divisor == "N" or divisor.startswith("num_vertices(")
+            assert by_vertex_count or (module is harness and func == "greedy_route"), (module.__name__, func)
+
+
 def test_single_vertex_boundary():
     n = 3
     S = mask_from_indices([coord_to_index(0, 0, n)], n)
-    edges = torus_edge_boundary(S, n)
+    edges = edge_boundary(torus_only_graph(n), S)
     assert edges.shape == (4, 2)
     assert torus_boundary_count(S, n) == 4
 
@@ -188,7 +230,7 @@ def test_column_strip_boundary():
 def test_full_grid_has_empty_boundary():
     n = 2
     S = np.ones(num_vertices(n), dtype=bool)
-    assert torus_edge_boundary(S, n).shape == (0, 2)
+    assert edge_boundary(torus_only_graph(n), S).shape == (0, 2)
     assert torus_boundary_count(S, n) == 0
 
 
@@ -196,10 +238,11 @@ def test_torus_boundary_matches_edge_scan():
     n = 3
     rng = np.random.default_rng(5)
     edges = oracles.torus_edge_list(n)
+    bare = torus_only_graph(n)
     for _ in range(50):
         S = rng.random(num_vertices(n)) < rng.random()
         expect = oracles.edge_boundary_pairs(edges, S)
-        got = torus_edge_boundary(S, n)
+        got = edge_boundary(bare, S)
         assert [tuple(e) for e in got] == expect
         assert torus_boundary_count(S, n) == len(expect)
 
@@ -213,6 +256,8 @@ def test_torus_boundary_count_batched():
     for i in range(7):
         for j in range(3):
             assert counts[i, j] == torus_boundary_count(batch[i, j], n)
+    with pytest.raises(ValueError):
+        torus_boundary_count(batch[..., :-1], n)
 
 
 def test_isoperimetry_exhaustive_smallest_grid():
@@ -325,6 +370,8 @@ def test_dichotomy_validation():
         box_core_dichotomy(one, part, 0.0)
     with pytest.raises(ValueError):
         box_core_dichotomy(one, part, 1.0)
+    with pytest.raises(ValueError):
+        box_core_dichotomy(one[:-1], part, 0.5)
 
 
 def test_dichotomy_random_sweep():

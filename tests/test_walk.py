@@ -73,6 +73,11 @@ def test_step_distribution_point_mass():
     for w in g.neighbours(v):
         assert out[w] == pytest.approx(0.5 / 4)
     assert out.sum() == pytest.approx(1.0, rel=1e-13)
+    with pytest.raises(ValueError):
+        step_distribution(g, mu[:-1])
+    mu[v + 1] = -0.5
+    with pytest.raises(ValueError):
+        step_distribution(g, mu)
 
 
 def test_two_steps_match_dense_power():
@@ -98,6 +103,8 @@ def test_tv_distance_basics():
     b = rng.dirichlet(np.ones(9))
     assert tv_distance(a, b) == pytest.approx(tv_distance(b, a))
     assert tv_distance(a, b) == pytest.approx(0.5 * np.abs(a - b).sum())
+    with pytest.raises(ValueError):
+        tv_distance(a, b[:-1])
 
 
 def test_distance_to_stationarity_endpoints():
@@ -312,6 +319,11 @@ def test_heuristic_starts_are_valid():
     assert starts.min() >= 0 and starts.max() < g.num_vertices
     again = mixing_time(g, starts="heuristic").start_vertices
     assert np.array_equal(starts, again)
+    # the far vertex of vertex 0 (12) plus the 32 uniforms, one of them drawn twice
+    assert starts.tolist() == [
+        12, 34, 40, 42, 48, 50, 55, 65, 96, 104, 115, 139, 182, 303, 323, 324,
+        328, 410, 414, 453, 484, 486, 497, 498, 512, 532, 570, 576, 601, 605, 607, 609,
+    ]
 
 
 def test_spectral_gap_torus_closed_form():
