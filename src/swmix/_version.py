@@ -1,3 +1,3 @@
-"""Single source of the package version string (keep in sync with pyproject.toml)."""
+"""Single source of the package version string; pyproject.toml reads it from here."""
 
 __version__ = "0.1.0"

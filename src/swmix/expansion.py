@@ -232,7 +232,7 @@ def ball_set(n, radius) -> np.ndarray:
     [1, n] so the ball never wraps onto itself.
     """
     n = _check_n(n)
-    radius = _check_n(radius, "radius", n)
+    radius = _integer(radius, "radius", 1, n + 1)
     x, y = _split(np.arange((2 * n + 1) ** 2), n)
     return (np.abs(x) + np.abs(y)) <= radius
 

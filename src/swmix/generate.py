@@ -82,8 +82,9 @@ class ModelParams:
     """Parameters (n, r, seed) of one graph instance.
 
     n >= 1 is the torus parameter, r >= 0 the distance exponent (math.inf
-    marks the degenerate torus-only graph), and seed a 64-bit unsigned
-    integer feeding the samplers.
+    marks the degenerate torus-only graph), and seed an integer in
+    [0, 2^64) feeding the samplers.  A non-integer n or seed, a float or a
+    bool, raises TypeError; an out-of-range one raises ValueError.
     """
 
     n: int
@@ -96,14 +97,7 @@ class ModelParams:
         if math.isnan(r) or r < 0:
             raise ValueError(f"r must be a real number >= 0, got {self.r!r}")
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "seed", _seed64(self.seed, "seed"))
-
-
-def _seed64(value, what: str) -> int:
-    """value as a Python int; ValueError unless it is an integer in [0, 2^64)."""
-    if not isinstance(value, (int, np.integer)) or not 0 <= value < 2**64:
-        raise ValueError(f"{what} must be a 64-bit unsigned integer, got {value!r}")
-    return int(value)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2**64))
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:

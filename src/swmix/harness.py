@@ -37,7 +37,7 @@ import numpy as np
 from . import expansion
 from ._version import __version__
 from .errors import CapacityError
-from .generate import ModelParams, SmallWorldGraph, _sampling_normalizer, _seed64, _stream, sample_graph
+from .generate import ModelParams, SmallWorldGraph, _sampling_normalizer, _stream, sample_graph
 from .torus import _check_n, _integer, make_box_partition, mask_from_indices, num_vertices
 from .walk import EXACT_STARTS_MAX_VERTICES, _START_POLICIES, mixing_time, second_eigenpair, stationary
 
@@ -100,10 +100,10 @@ def derive_seed(base, n, r, replicate) -> int:
 
     First 8 bytes, big-endian, of sha256 over "{base}:{n}:{r_hex}:{replicate}"
     where r_hex is the exact float hex of r.
-    base, n and replicate must be integers: a 64-bit unsigned base, n >= 1
-    and replicate >= 0 (ValueError; TypeError for a non-integer replicate).
+    base, n and replicate must be integers (TypeError otherwise): a base in
+    [0, 2^64), n >= 1 and replicate >= 0 (ValueError otherwise).
     """
-    base = _seed64(base, "seed base")
+    base = _integer(base, "seed base", 0, 2**64)
     n = _check_n(n)
     replicate = _integer(replicate, "replicate", 0)
     msg = f"{base}:{n}:{float(r).hex()}:{replicate}".encode("ascii")
@@ -124,6 +124,7 @@ class SweepConfig:
     random-set sample of the expansion experiment.
 
     Raises:
+        TypeError: for a non-integer n, seed, seed_base or count.
         ValueError: for a field out of range, an unsampleable (n, r), or a zero conductance ball radius.
         CapacityError: for starts="all" with an n over the exact-starts cap.
     """
@@ -159,15 +160,15 @@ class SweepConfig:
         object.__setattr__(self, "n_values", n_values)
         object.__setattr__(self, "r_values", r_values)
         if self.seeds is not None:
-            seeds = tuple(_seed64(s, "explicit seed") for s in self.seeds)
+            seeds = tuple(_integer(s, "explicit seed", 0, 2**64) for s in self.seeds)
             if not seeds:
                 raise ValueError("explicit seeds must be a nonempty list")
             if self.num_seeds:
                 raise ValueError("give either explicit seeds or num_seeds, not both")
             object.__setattr__(self, "seeds", seeds)
         else:
-            object.__setattr__(self, "num_seeds", _check_n(self.num_seeds, "num_seeds"))
-        object.__setattr__(self, "seed_base", _seed64(self.seed_base, "seed_base"))
+            object.__setattr__(self, "num_seeds", _integer(self.num_seeds, "num_seeds", 1))
+        object.__setattr__(self, "seed_base", _integer(self.seed_base, "seed_base", 0, 2**64))
         if self.starts not in _START_POLICIES:
             raise ValueError(f"starts must be one of {_START_POLICIES}, got {self.starts!r}")
         if not 0 < float(self.ball_frac) < 1:
@@ -175,7 +176,7 @@ class SweepConfig:
         object.__setattr__(self, "ball_frac", float(self.ball_frac))
         optional = ["workers"] if self.workers is not None else []
         for name in ["box_side", "q_max", "pairs", "random_sets"] + optional:
-            object.__setattr__(self, name, _check_n(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
         if self.experiment == "mix" and self.starts == "all":
             for n in self.n_values:
                 if num_vertices(n) > EXACT_STARTS_MAX_VERTICES:
@@ -556,13 +557,23 @@ def _record_from_row(row) -> ExperimentRecord:
     return ExperimentRecord(values=values, **common)
 
 
+def _checked_manifest(manifest, parse=lambda value: value) -> dict:
+    """manifest with seed_base as an int; ValueError unless parse(seed_base) is an integer in [0, 2^64)."""
+    try:
+        seed_base = _integer(parse(manifest["seed_base"]), "seed_base", 0, 2**64)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"manifest {manifest!r} lacks an integer seed_base in [0, 2^64)") from None
+    return {**manifest, "seed_base": seed_base}
+
+
 def load_records(path):
     """Read a file written by :func:`emit`; returns (records, manifest).
 
     The format is detected from the content (a leading '[' means JSON).
 
     Raises:
-        ValueError: if the manifest is missing or a row is malformed.
+        ValueError: if the manifest is missing or lacks an integer
+            seed_base in [0, 2^64), or a row is malformed.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -570,18 +581,15 @@ def load_records(path):
         payload = json.loads(text)
         if not payload or not isinstance(payload[-1], dict) or "manifest" not in payload[-1]:
             raise ValueError("missing trailing manifest object")
-        manifest = payload[-1]["manifest"]
+        manifest = _checked_manifest(payload[-1]["manifest"])
         rows = payload[:-1]
     else:
         lines = [line for line in text.splitlines() if line]
         if not lines or not lines[-1].startswith("# manifest "):
             raise ValueError("missing trailing manifest line")
-        manifest = dict(
-            item.split("=", 1) for item in lines[-1][len("# manifest ") :].split()
+        manifest = _checked_manifest(
+            dict(item.split("=", 1) for item in lines[-1][len("# manifest ") :].split()), int
         )
-        if "seed_base" not in manifest:
-            raise ValueError("manifest line lacks seed_base")
-        manifest["seed_base"] = int(manifest["seed_base"])
         columns = lines[0].split(",")
         rows = []
         for line in lines[1:-1]:

@@ -14,10 +14,10 @@ Vertices are addressed throughout the package by a canonical index
 so index 0 is the corner ``(-n, -n)`` and indices increase x-major.  Vertex
 subsets are plain boolean masks of length ``N = (2n+1)^2`` over canonical
 indices, and _split and _shift hold the package's index arithmetic.  Here
-and in every module, an integer argument raises TypeError for a non-integer
-(numpy integers pass) and ValueError out of range (_integer and the array
-checks), except n, the ball radius, the box side, the sweep-config counts
-(_check_n) and seeds (generate._seed64), which raise ValueError for both.
+and in every module, an integer argument, be it n, a vertex, a distance, a
+size, a count or a seed, raises TypeError for a non-integer (numpy integers
+pass; floats and bools do not) and ValueError out of range: _integer holds
+the rule for scalars, _vertices and _coords for arrays.
 
 The module also provides the box partition used by the expansion analysis:
 a deterministic tiling of the grid into axis-aligned rectangles whose sides
@@ -52,20 +52,22 @@ __all__ = [
 ]
 
 
-def _check_n(n, what: str = "torus parameter n", hi: int | None = None) -> int:
-    """n as an int, if it is an integer in [1, hi] (no upper end when hi is None)."""
-    if not isinstance(n, (int, np.integer)) or n < 1 or (hi is not None and n > hi):
-        bound = ">= 1" if hi is None else f"in [1, {hi}]"
-        raise ValueError(f"{what} must be an integer {bound}, got {n!r}")
-    return int(n)
+def _check_n(n) -> int:
+    """The torus parameter n as an int, if it is an integer >= 1."""
+    return _integer(n, "torus parameter n", 1)
 
 
 def _integer(value, what: str, lo: int, stop: int | None = None) -> int:
     """value as an int in [lo, stop) (no upper end when stop is None), by the rule in the module docstring."""
-    value = operator.index(value)
-    if value < lo or (stop is not None and value >= stop):
-        raise ValueError(f"{what} {value} out of range [{lo}, {'inf' if stop is None else stop})")
-    return value
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if index < lo or (stop is not None and index >= stop):
+        raise ValueError(f"{what} {index} out of range [{lo}, {'inf' if stop is None else stop})")
+    return index
 
 
 def _vertices(a, N: int, what: str) -> np.ndarray:
@@ -290,10 +292,11 @@ def make_box_partition(n, box_side) -> BoxPartition:
         box_side: nominal box side, 1 <= box_side <= n.
 
     Raises:
+        TypeError: if box_side is not an integer.
         ValueError: if box_side is outside [1, n].
     """
     n = _check_n(n)
-    box_side = _check_n(box_side, "box_side", n)
+    box_side = _integer(box_side, "box_side", 1, n + 1)
     side = 2 * n + 1
     k = side // box_side
     rem = side - k * box_side

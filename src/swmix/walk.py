@@ -11,9 +11,7 @@ The search evolves the start distributions one kernel product at a time, to
 exactly t_mix.  After each product it checks only the column that was worst
 at the last full evaluation, since the start set cannot pass while that
 column fails, and evaluates the full worst distance only when it passes.
-Distributions are evolved in 64-bit floats with one renormalization every 64
-steps to pin down mass drift.  The spectral gap comes from one Lanczos solve
-on the symmetrized kernel.
+The spectral gap comes from one Lanczos solve on the symmetrized kernel.
 
 With ``starts="all"`` the estimate is exact.  Above EXACT_STARTS_MAX_VERTICES
 vertices the ``"auto"`` policy switches to a documented heuristic start set,
@@ -61,9 +59,6 @@ _START_POLICIES = ("auto", "all", "heuristic")
 
 # Uniform vertices drawn for the heuristic start set, beside the far vertex of vertex 0.
 _RANDOM_STARTS = 32
-
-# Steps between in-place renormalizations of evolved distributions.
-_RENORM_EVERY = 64
 
 # Largest t the mixing search evaluates before giving up.
 _MAX_STEPS = 1_000_000
@@ -128,12 +123,8 @@ def tv_distance(mu, nu) -> float:
 
 
 def _evolve(kernel_t, Y: np.ndarray, t_from: int, t_to: int) -> np.ndarray:
-    # Renormalization points are tied to absolute time, so evolving in pieces
-    # reproduces the straight-line run bit for bit.
-    for t in range(t_from + 1, t_to + 1):
+    for _ in range(t_from, t_to):
         Y = kernel_t @ Y
-        if t % _RENORM_EVERY == 0:
-            Y = Y / Y.sum(axis=0, keepdims=True)
     return Y
 
 

@@ -9,6 +9,9 @@ import numpy as np
 
 CALIBRATION_PATH = Path(__file__).parent / "data" / "pilot_calibration.json"
 
+# Scalars that the integer rule rejects with TypeError rather than truncating or reading as 0 and 1.
+NON_INTEGERS = (True, 2.5, np.float64(3.0))
+
 
 def load_calibration() -> dict:
     with open(CALIBRATION_PATH, "r", encoding="utf-8") as fh:

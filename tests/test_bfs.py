@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
+from support import NON_INTEGERS
 from swmix import (
     ModelParams,
     SmallWorldGraph,
@@ -177,8 +178,9 @@ def test_bfs_rejects_non_vertex_sources():
             bfs_distances(g, bad)
         with pytest.raises(ValueError, match=r"in \[0, 49\)"):
             eccentricities(g, [0, bad])
-    with pytest.raises(TypeError):
-        bfs_distances(g, 2.7)
+    for bad in (2.7,) + NON_INTEGERS:
+        with pytest.raises(TypeError, match="source vertex"):
+            bfs_distances(g, bad)
     with pytest.raises(TypeError):
         eccentricities(g, [2.7])
     with pytest.raises(TypeError):

@@ -385,6 +385,9 @@ def test_ball_set_examples():
         ball_set(4, 0)
     with pytest.raises(ValueError):
         ball_set(4, 5)
+    for bad in support.NON_INTEGERS:
+        with pytest.raises(TypeError, match="radius"):
+            ball_set(4, bad)
 
 
 def test_ball_torus_boundary_closed_form():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from support import NON_INTEGERS
 from swmix import (
     CapacityError,
     GraphFormatError,
@@ -30,8 +31,11 @@ from swmix.generate import _assemble, _stream
 def test_params_validation():
     with pytest.raises(ValueError):
         ModelParams(n=0, r=1.0, seed=0)
-    with pytest.raises(ValueError):
-        ModelParams(n=1.5, r=1.0, seed=0)
+    for bad in (1.5,) + NON_INTEGERS:
+        with pytest.raises(TypeError, match="torus parameter n"):
+            ModelParams(n=bad, r=1.0, seed=0)
+        with pytest.raises(TypeError, match="seed"):
+            ModelParams(n=2, r=1.0, seed=bad)
     with pytest.raises(ValueError):
         ModelParams(n=2, r=-0.1, seed=0)
     with pytest.raises(ValueError):
@@ -193,7 +197,7 @@ def test_degree_and_neighbours_follow_the_vertex_rule():
             g.degree(v)
         with pytest.raises(ValueError):
             g.neighbours(v)
-    for v in (2.5, 1.0, np.float64(3.0)):
+    for v in (1.0,) + NON_INTEGERS:
         with pytest.raises(TypeError):
             g.degree(v)
         with pytest.raises(TypeError):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import oracles
 import pytest
+from support import NON_INTEGERS
 
 import swmix
 from swmix import (
@@ -60,12 +61,15 @@ def test_derive_seed_sensitivity():
 
 
 def test_derive_seed_rejects_non_integers():
-    # 2.5 and 3.7 are rejected, not truncated to 2 and 3
-    with pytest.raises(ValueError, match="64-bit unsigned integer"):
-        derive_seed(2.5, 3, 1.0, 0)
-    with pytest.raises(ValueError, match="integer >= 1"):
+    # 2.5 and 3.7 are rejected, not truncated to 2 and 3, and True is not 1
+    for bad in NON_INTEGERS:
+        with pytest.raises(TypeError, match="seed base"):
+            derive_seed(bad, 3, 1.0, 0)
+        with pytest.raises(TypeError, match="replicate"):
+            derive_seed(2, 3, 1.0, bad)
+    with pytest.raises(TypeError, match="torus parameter n"):
         derive_seed(2, 3.7, 1.0, 0)
-    with pytest.raises(ValueError, match="integer >= 1"):
+    with pytest.raises(ValueError, match="torus parameter n"):
         derive_seed(2, 0, 1.0, 0)
     with pytest.raises(TypeError):
         derive_seed(2, 3, 1.0, 0.9)
@@ -108,13 +112,20 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "ball_frac": 1.0})
     with pytest.raises(ValueError):
         SweepConfig(**{**good, "pairs": 0})
+    for bad in NON_INTEGERS:
+        for name in ("num_seeds", "workers", "box_side", "q_max", "pairs", "random_sets"):
+            with pytest.raises(TypeError, match=name):
+                SweepConfig(**{**good, name: bad})
+        with pytest.raises(TypeError, match="torus parameter n"):
+            SweepConfig(**{**good, "n_values": (3, bad)})
 
 
 def test_sweep_config_rejects_fractional_seeds():
-    # 2.5 is rejected, not truncated to seed 2
-    for field in (dict(seeds=(2.5,)), dict(seeds=(1, 2.5)), dict(num_seeds=1, seed_base=2.5)):
-        with pytest.raises(ValueError, match="64-bit unsigned integer"):
-            SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), **field)
+    # 2.5 is rejected, not truncated to seed 2, and True is not seed 1
+    for bad in NON_INTEGERS:
+        for field in (dict(seeds=(bad,)), dict(seeds=(1, bad)), dict(num_seeds=1, seed_base=bad)):
+            with pytest.raises(TypeError, match="seed"):
+                SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), **field)
     cfg = SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), seeds=(np.uint64(2**64 - 1),))
     assert cfg.seeds == (2**64 - 1,) and type(cfg.seeds[0]) is int
 
@@ -281,6 +292,16 @@ def test_load_records_errors(tmp_path):
         ("csv", f"{header}\n{cells}\n" + manifest, r"common columns \['n'\]"),
         ("json", "[1, 2]\n", "manifest"),
         ("json", json.dumps([row, {"manifest": {"seed_base": 0}}]), r"common columns \['n'\]"),
+        ("json", '[{"manifest": 3}]', "seed_base"),
+        ("json", '[{"manifest": {}}]', "seed_base"),
+        ("json", '[{"manifest": {"seed_base": "7"}}]', "seed_base"),
+        ("json", '[{"manifest": {"seed_base": 2.5}}]', "seed_base"),
+        ("json", '[{"manifest": {"seed_base": true}}]', "seed_base"),
+        ("json", '[{"manifest": {"seed_base": -1}}]', "seed_base"),
+        ("json", '[{"manifest": {"seed_base": 18446744073709551616}}]', "seed_base"),
+        ("csv", f"{header}\n{cells}\n# manifest seed_base=abc version=y\n", "seed_base"),
+        ("csv", f"{header}\n{cells}\n# manifest seed_base=2.5 version=y\n", "seed_base"),
+        ("csv", f"{header}\n{cells}\n# manifest seed_base=-1 version=y\n", "seed_base"),
     ]
     for fmt, text, match in cases:
         path = tmp_path / f"bad.{fmt}"
@@ -369,8 +390,9 @@ def test_greedy_route_hop_cap():
     g = torus_only_graph(4)
     capped = greedy_route(g, 0, 2, hop_cap=1)
     assert capped.hops == 1 and not capped.delivered
-    with pytest.raises(TypeError):
-        greedy_route(g, 0, 3, hop_cap=2.5)
+    for bad in NON_INTEGERS:
+        with pytest.raises(TypeError, match="hop_cap"):
+            greedy_route(g, 0, 3, hop_cap=bad)
     assert greedy_route(g, 0, 3, hop_cap=np.int64(2)).hops == 2
 
 
@@ -380,6 +402,11 @@ def test_greedy_route_rejects_non_integral_vertices():
         greedy_route(g, 3.7, 5)
     with pytest.raises(TypeError):
         greedy_route(g, 3, 5.0)
+    for bad in NON_INTEGERS:
+        with pytest.raises(TypeError, match="source vertex"):
+            greedy_route(g, bad, 5)
+        with pytest.raises(TypeError, match="target vertex"):
+            greedy_route(g, 3, bad)
     want = greedy_route(g, 3, 5)
     assert greedy_route(g, np.int64(3), np.uint16(5)) == want
 
@@ -505,6 +532,15 @@ def test_cli_version(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_version_has_one_source():
+    # pyproject.toml reads the version from swmix._version rather than repeating it
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"] and pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "swmix._version.__version__"}
 
 
 def test_cli_requires_subcommand():

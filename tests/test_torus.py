@@ -11,6 +11,7 @@ import pytest
 
 import oracles
 import swmix
+from support import NON_INTEGERS
 from swmix import harness, torus
 from swmix import (
     BoxPartition,
@@ -120,9 +121,10 @@ def test_ring_size_range_errors():
 
 
 def test_ring_distance_must_be_an_integer():
-    # 2.5 is rejected, not truncated to ring 2
-    with pytest.raises(TypeError):
-        ring_size(2.5, 3)
+    # 2.5 is rejected, not truncated to ring 2, and True is not ring 1
+    for bad in NON_INTEGERS:
+        with pytest.raises(TypeError, match="ring distance"):
+            ring_size(bad, 3)
     with pytest.raises(TypeError):
         ring_offsets(2.5, 3)
     with pytest.raises(ValueError):
@@ -198,11 +200,18 @@ def _calls_named(module, name):
 
 
 def test_index_rules_have_one_home():
-    # operator.index runs only in torus._integer and canonical indices are split only by torus._split
+    # operator.index and the bool check run only in torus._integer, no isinstance check
+    # admits np.integer, and canonical indices are split only by torus._split
     assert [func for func, _ in _calls_named(torus, "index")] == ["_integer"]
     assert [func for func, _ in _calls_named(torus, "divmod")] == ["_split"]
-    others = [info.name for info in pkgutil.iter_modules(swmix.__path__) if info.name != "torus"]
-    for module in (importlib.import_module(f"swmix.{name}") for name in others):
+    modules = [importlib.import_module(f"swmix.{info.name}") for info in pkgutil.iter_modules(swmix.__path__)]
+    type_checks = [(module.__name__, func, classes)
+                   for module in modules for func, (_, classes) in _calls_named(module, "isinstance")]
+    assert [(name, func) for name, func, classes in type_checks if "bool" in classes] == [("swmix.torus", "_integer")]
+    assert [check for check in type_checks if "integer" in check[2]] == []
+    for module in modules:
+        if module is torus:
+            continue
         assert "import operator" not in inspect.getsource(module), module.__name__
         for func, (_, divisor) in _calls_named(module, "divmod"):
             # a pair key lo * N + hi splits by the vertex count; the router splits scalars in its hot loop
@@ -300,6 +309,9 @@ def test_partition_box_side_validation():
         make_box_partition(3, 0)
     with pytest.raises(ValueError):
         make_box_partition(3, 4)
+    for bad in NON_INTEGERS:
+        with pytest.raises(TypeError, match="box_side"):
+            make_box_partition(3, bad)
 
 
 def test_partition_invariants():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from support import NON_INTEGERS
 from swmix import (
     ConvergenceError,
     ModelParams,
@@ -394,8 +395,9 @@ def test_mixing_time_step_cap(monkeypatch):
 
 def test_walk_inputs_must_be_integers():
     g = small_world()
-    with pytest.raises(TypeError):
-        distance_to_stationarity(g, 3, 2.7)
+    for bad in (2.7,) + NON_INTEGERS:
+        with pytest.raises(TypeError, match="step count"):
+            distance_to_stationarity(g, 3, bad)
     with pytest.raises(TypeError):
         distance_to_stationarity(g, 3.2, 2)
     with pytest.raises(TypeError):
