@@ -30,9 +30,16 @@ repeats one key at a time picks, because two classes never share a key (their
 pairs lie at different torus distances) and the first occurrence of a key in
 draw order is the one a one-at-a-time loop would meet first.
 
-Randomness. Every draw in the package comes from ``_stream(seed, *spawn_key)``,
-a counter-based Philox stream keyed by (seed, purpose) and so reproducible
-independently of evaluation order.  The spawn keys, one purpose each:
+Randomness. Every draw in the package comes from ``_stream(seed, *spawn_key)``
+(or ``_streams`` for many keys at once), a counter-based Philox stream keyed
+by (seed, purpose) and so reproducible independently of evaluation order.
+Each stream is the one ``Philox(SeedSequence(entropy=seed, spawn_key=key))``
+gives, bit for bit, but its 128-bit key is derived by ``_philox_keys`` with
+SeedSequence's published mixing: a 4-word pool is hashed from the seed's
+32-bit words, zero-padded, and then every spawn-key word is mixed in, one
+word position at a time for all keys together as uint32 arrays.  The key
+reaches Philox through ``_PhiloxKey``, so building a stream runs no
+SeedSequence and draws no OS entropy.  The spawn keys, one purpose each:
 
     (d,)     sample_graph: distance class d, for 2 <= d <= 2n
     (1,)     tests/oracles.py: the per-pair uniforms of sample_graph_naive
@@ -51,6 +58,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import GraphFormatError
 from .torus import (
@@ -58,7 +66,6 @@ from .torus import (
     _integer,
     _shift,
     num_vertices,
-    ring_size,
     ring_table,
     torus_neighbor_indices,
 )
@@ -93,16 +100,102 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_n(self.n))
-        r = float(self.r)
-        if math.isnan(r) or r < 0:
-            raise ValueError(f"r must be a real number >= 0, got {self.r!r}")
-        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "r", _exponent(self.r, "r"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2**64))
+
+
+def _exponent(r, what: str) -> float:
+    """r as a float, if it is a float (numpy floats too) or an integer that is >= 0 (math.inf passes).
+
+    Integers follow the integer rule of swmix.torus, so a bool, a string or
+    any other type raises TypeError; NaN or a negative value raises
+    ValueError.
+    """
+    if isinstance(r, (float, np.floating)):
+        value = float(r)
+    else:
+        try:
+            value = float(_integer(r, what, 0))
+        except TypeError:
+            raise TypeError(f"{what} must be a real number, got {r!r}") from None
+    if math.isnan(value) or value < 0:
+        raise ValueError(f"{what} must be a real number >= 0, got {r!r}")
+    return value
+
+
+# SeedSequence's hash constants, as numpy publishes them in bit_generator.pyx.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list:
+    """init and its next count multiples by mult, mod 2^32: the running hash constant of SeedSequence."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+def _philox_keys(seed: int, spawn_keys) -> np.ndarray:
+    """(m, 2) uint64 Philox keys; row i is SeedSequence(seed, spawn_key=spawn_keys[i]).generate_state(2, np.uint64).
+
+    seed lies in [0, 2^64) and spawn_keys is an (m, L) array of words in
+    [0, 2^32), L >= 1.  The seed's pool is mixed once in Python ints; the
+    spawn-key words then enter all m pools together as (4, m) uint32 arrays,
+    whose products wrap mod 2^32 as SeedSequence's do.
+    """
+    words = np.asarray(spawn_keys, dtype=np.uint32)
+
+    def hashmix(value, const_in, const_out):
+        value = (value ^ const_in) * const_out & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = (_MIX_L * x - _MIX_R * y) & _MASK32
+        return value ^ value >> 16
+
+    # hashmix call k runs under the constants a[k] and a[k + 1]
+    a = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * words.shape[1])
+    # the seed's 32-bit words, zero-padded to the pool size, then all-to-all mixing
+    pool = [hashmix(seed >> 32 * i & _MASK32, a[i], a[i + 1]) for i in range(4)]
+    k = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], a[k], a[k + 1]))
+                k += 1
+    # spawn-key word j meets pool word dst in hashmix call 16 + 4 j + dst
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    a = np.array(a, dtype=np.uint32)[:, None]
+    for j in range(words.shape[1]):
+        k = 16 + 4 * j
+        pool = mix(pool, hashmix(words[:, j], a[k : k + 4], a[k + 1 : k + 5]))
+    # generate_state(2, np.uint64): four output words, paired little-endian
+    b = np.array(_hash_consts(_INIT_B, _MULT_B, 4), dtype=np.uint32)[:, None]
+    state = hashmix(pool, b[:4], b[1:])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _PhiloxKey(ISeedSequence):
+    """A derived Philox key in the seed-sequence slot, so Philox builds no SeedSequence and draws no OS entropy."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key  # Philox asks for (2, np.uint64)
+
+
+def _streams(seed: int, spawn_keys) -> list:
+    """The Philox streams of several purposes, one per row of spawn_keys."""
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(key))) for key in _philox_keys(seed, spawn_keys)]
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
     """The Philox stream of one purpose; the module docstring lists the spawn keys."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)))
+    return _streams(seed, [spawn_key])[0]
 
 
 def long_range_normalizer(n, r) -> float:
@@ -116,7 +209,8 @@ def long_range_normalizer(n, r) -> float:
     n, r = params.n, params.r
     if math.isinf(r):
         return 0.0
-    return math.fsum(ring_size(d, n) * d**-r for d in range(2, 2 * n + 1))
+    sizes = np.diff(ring_table(n)[1][2:]).tolist()  # ring_size(d, n) for d = 2, ..., 2n
+    return math.fsum(size * d**-r for d, size in zip(range(2, 2 * n + 1), sizes))
 
 
 def _sampling_normalizer(n, r) -> float:
@@ -194,6 +288,22 @@ class SmallWorldGraph:
         return rows
 
     @cached_property
+    def long_range_rows(self) -> tuple:
+        """(indptr, indices) of the CSR rows without their 4 torus neighbours (read-only).
+
+        Row v lists the long-range neighbours of v, sorted, at
+        indices[indptr[v] : indptr[v + 1]].
+        """
+        N = self.num_vertices
+        lo, hi = self.long_range_edges.T
+        indices = np.sort(np.concatenate([lo * N + hi, hi * N + lo])) % N
+        indptr = np.zeros(N + 1, dtype=np.int64)
+        np.cumsum(self.degrees - 4, out=indptr[1:])
+        for arr in (indptr, indices):
+            arr.setflags(write=False)
+        return indptr, indices
+
+    @cached_property
     def neighbour_slots(self) -> tuple:
         """Degree-ordered neighbour-slot layout that every BFS level gathers through.
 
@@ -214,18 +324,23 @@ class SmallWorldGraph:
         return order, rank, columns
 
 
-def _assemble(params: ModelParams, long_pairs: np.ndarray, normalizer: float) -> SmallWorldGraph:
-    """Build the CSR graph from the torus plus the given long-range pairs.
+def _pair_keys(pairs, N: int) -> np.ndarray:
+    """Sorted int64 keys lo * N + hi of unordered vertex pairs given in any order and orientation."""
+    u, v = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    return np.sort(np.minimum(u, v) * N + np.maximum(u, v))
 
-    Every directed edge is one int64 key row * N + col, so a single sort of
-    the keys orders the rows and, within each row, the neighbours.
+
+def _assemble(params: ModelParams, long_keys: np.ndarray, normalizer: float) -> SmallWorldGraph:
+    """Build the CSR graph from the torus plus the long-range pairs with the given sorted keys.
+
+    long_keys holds one int64 key lo * N + hi per pair (see _pair_keys).
+    Every directed edge is one key row * N + col, so a single sort of the
+    keys orders the rows and, within each row, the neighbours.
     """
     n = params.n
     N = num_vertices(n)
-    u, v = np.asarray(long_pairs, dtype=np.int64).reshape(-1, 2).T
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    long_keys = np.sort(lo * N + hi)
-    long_pairs = np.column_stack(np.divmod(long_keys, N))
+    lo, hi = np.divmod(long_keys, N)
+    long_pairs = np.column_stack((lo, hi))
     torus_keys = np.arange(N, dtype=np.int64)[:, None] * N + torus_neighbor_indices(n)
     keys = np.concatenate([torus_keys.reshape(-1), long_keys, hi * N + lo])
     keys.sort()
@@ -256,15 +371,15 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
     n, r = params.n, params.r
     N = num_vertices(n)
     dists = range(2, 2 * n + 1)
-    rngs = [_stream(params.seed, d) for d in dists]
-    sizes = [ring_size(d, n) for d in dists]
+    # class c is ring c + 2, at rows base[c] to base[c] + sizes[c] of the ring table
+    offsets, starts = ring_table(n)
+    base = starts[2:-1]
+    sizes = np.diff(starts[2:]).tolist()
+    rngs = _streams(params.seed, np.array(dists)[:, None])
     need = np.array(
         [int(rng.binomial(N * rs // 2, float(d) ** -r / z)) for rng, rs, d in zip(rngs, sizes, dists)],
         dtype=np.int64,
     )
-    # class c is ring c + 2, which starts at row base[c] of the ring table
-    offsets, starts = ring_table(n)
-    base = starts[2:-1]
     chosen = [np.empty(0, np.int64)]
     active = np.flatnonzero(need)
     while active.size:
@@ -274,8 +389,12 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
         cls = np.repeat(active, batches)
         w = _shift(u, offsets[oi, 0], offsets[oi, 1], n)
         keys = np.minimum(u, w) * N + np.maximum(u, w)
-        uniq, first = np.unique(keys, return_index=True)
-        first = np.sort(first[~np.isin(uniq, np.concatenate(chosen))])
+        # each distinct key's first draw: the least draw index in its run of the sorted keys
+        order = np.argsort(keys)
+        ordered = keys[order]
+        head = np.flatnonzero(np.diff(ordered, prepend=-1))
+        first = np.minimum.reduceat(order, head)
+        first = np.sort(first[~np.isin(ordered[head], np.concatenate(chosen))])
         # Rank of each new key within its class, in draw order.
         c = cls[first]
         keep = first[np.arange(first.size) - np.searchsorted(c, c) < need[c]]
@@ -299,8 +418,7 @@ def sample_graph(params: ModelParams) -> SmallWorldGraph:
             degenerate bare torus) or the normalizer underflows to zero.
     """
     z = _sampling_normalizer(params.n, params.r)
-    pair_keys = _draw_long_range_keys(params, z)
-    return _assemble(params, np.column_stack(np.divmod(pair_keys, num_vertices(params.n))), z)
+    return _assemble(params, _draw_long_range_keys(params, z), z)
 
 
 def torus_only_graph(n, seed=0) -> SmallWorldGraph:
@@ -310,7 +428,7 @@ def torus_only_graph(n, seed=0) -> SmallWorldGraph:
     cannot be resampled.
     """
     params = ModelParams(n=n, r=math.inf, seed=seed)
-    return _assemble(params, np.empty((0, 2), np.int64), 0.0)
+    return _assemble(params, np.empty(0, np.int64), 0.0)
 
 
 def save_graph(graph: SmallWorldGraph, path) -> None:
@@ -398,5 +516,4 @@ def load_graph(path) -> SmallWorldGraph:
             raise GraphFormatError(
                 f"header Z={z!r} does not match the model normalizer {expected_z!r}", line=1
             )
-    long_pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return _assemble(params, long_pairs, z)
+    return _assemble(params, _pair_keys(pairs, N), z)

@@ -37,7 +37,7 @@ import numpy as np
 from . import expansion
 from ._version import __version__
 from .errors import CapacityError
-from .generate import ModelParams, SmallWorldGraph, _sampling_normalizer, _stream, sample_graph
+from .generate import ModelParams, SmallWorldGraph, _exponent, _sampling_normalizer, _stream, sample_graph
 from .torus import _check_n, _integer, make_box_partition, mask_from_indices, num_vertices
 from .walk import EXACT_STARTS_MAX_VERTICES, _START_POLICIES, mixing_time, second_eigenpair, stationary
 
@@ -100,13 +100,15 @@ def derive_seed(base, n, r, replicate) -> int:
 
     First 8 bytes, big-endian, of sha256 over "{base}:{n}:{r_hex}:{replicate}"
     where r_hex is the exact float hex of r.
-    base, n and replicate must be integers (TypeError otherwise): a base in
-    [0, 2^64), n >= 1 and replicate >= 0 (ValueError otherwise).
+    base, n and replicate must be integers and r a real number (TypeError
+    otherwise): a base in [0, 2^64), n >= 1, r >= 0 and replicate >= 0
+    (ValueError otherwise).
     """
     base = _integer(base, "seed base", 0, 2**64)
     n = _check_n(n)
+    r = _exponent(r, "r")
     replicate = _integer(replicate, "replicate", 0)
-    msg = f"{base}:{n}:{float(r).hex()}:{replicate}".encode("ascii")
+    msg = f"{base}:{n}:{r.hex()}:{replicate}".encode("ascii")
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
 
 
@@ -124,7 +126,8 @@ class SweepConfig:
     random-set sample of the expansion experiment.
 
     Raises:
-        TypeError: for a non-integer n, seed, seed_base or count.
+        TypeError: for a non-integer n, seed, seed_base or count, an r that
+            is not a real number, or an include_sweep_min that is not a bool.
         ValueError: for a field out of range, an unsampleable (n, r), or a zero conductance ball radius.
         CapacityError: for starts="all" with an n over the exact-starts cap.
     """
@@ -151,9 +154,9 @@ class SweepConfig:
         n_values = tuple(_check_n(v) for v in self.n_values)
         if not n_values:
             raise ValueError("n_values must be a nonempty list of integers >= 1")
-        r_values = tuple(float(v) for v in self.r_values)
-        if not r_values or any(math.isnan(v) or v < 0 for v in r_values):
-            raise ValueError(f"r_values must be a nonempty list of reals >= 0, got {self.r_values!r}")
+        r_values = tuple(_exponent(v, "r_values entry") for v in self.r_values)
+        if not r_values:
+            raise ValueError("r_values must be a nonempty list of reals >= 0")
         for n in n_values:
             for r in r_values:
                 _sampling_normalizer(n, r)
@@ -174,6 +177,9 @@ class SweepConfig:
         if not 0 < float(self.ball_frac) < 1:
             raise ValueError(f"ball_frac must lie in (0, 1), got {self.ball_frac!r}")
         object.__setattr__(self, "ball_frac", float(self.ball_frac))
+        if type(self.include_sweep_min) not in (bool, np.bool_):  # a flag, not the integer rule: 0 and 1 fail too
+            raise TypeError(f"include_sweep_min must be a bool, got {self.include_sweep_min!r}")
+        object.__setattr__(self, "include_sweep_min", bool(self.include_sweep_min))
         optional = ["workers"] if self.workers is not None else []
         for name in ["box_side", "q_max", "pairs", "random_sets"] + optional:
             object.__setattr__(self, name, _integer(getattr(self, name), name, 1))
@@ -374,10 +380,18 @@ def greedy_route(graph: SmallWorldGraph, source, target, hop_cap=None) -> Routin
     strictly decreases the distance always exists, so delivery is guaranteed
     and the default cap of 10 N is a safety net only.
 
-    A hop is plain integer arithmetic on the CSR row of the current vertex:
-    each neighbour w is split into w // (2n+1) and w % (2n+1) and scored per
-    axis with min(d, 2n+1-d), so a hop costs O(degree) with no per-hop
-    validation: about 1.7 us at mean degree 5 on a 2-vCPU Xeon VM.
+    A hop scores only the long-range neighbours, read from
+    graph.long_range_rows.  A torus step changes the cycle distance of one
+    axis by at most 1, and since the cycle length 2n+1 is odd, only one of
+    the two steps along an axis shortens it, and only if that axis is not yet
+    aligned with the target.  So with D the current distance, no torus
+    neighbour is closer than D - 1, and those at D - 1 are at most two: one
+    per unaligned axis, the step the shorter way round.  They come from plain
+    (x, y) arithmetic, and each long-range neighbour is scored per axis with
+    min(d, 2n+1-d).  A hop costs O(1 + long-range degree) with no per-hop
+    validation: about 1.5 us on the routing_w2 benchmark cells (n = 32 to
+    128, one long-range neighbour per vertex on average) on a 2-vCPU Xeon
+    VM, against 1.9 us when every CSR neighbour was scored.
 
     Raises:
         TypeError: for a source, target or hop_cap that is not an integer (a
@@ -393,12 +407,29 @@ def greedy_route(graph: SmallWorldGraph, source, target, hop_cap=None) -> Routin
     # plain int arithmetic rather than torus._split: numpy calls would dominate a 2 us hop
     tx, ty = divmod(target, side)
     # memoryview items are plain Python ints, with no numpy scalar per index
-    indptr, indices = memoryview(graph.indptr), memoryview(graph.indices)
+    indptr, indices = map(memoryview, graph.long_range_rows)
     cur = source
+    sx, sy = divmod(source, side)
+    dist = min(abs(sx - tx), side - abs(sx - tx)) + min(abs(sy - ty), side - abs(sy - ty))
     hops = 0
     while cur != target and hops < hop_cap:
-        best = side  # above any torus distance (at most 2n)
-        for w in indices[indptr[cur] : indptr[cur + 1]]:
+        cx, cy = divmod(cur, side)
+        # per axis, how far ahead the target lies (mod side); past n it is nearer behind
+        ax = (tx - cx) % side
+        ay = (ty - cy) % side
+        best = dist - 1
+        nxt = N  # above every index
+        if ax:
+            nxt = (cx + 1 if ax <= n else cx - 1) % side * side + cy
+        if ay:
+            w = cur - cy + (cy + 1 if ay <= n else cy - 1) % side
+            if w < nxt:
+                nxt = w
+        # an index walk: a memoryview slice per hop costs more than the row's one or two entries
+        k, stop = indptr[cur], indptr[cur + 1]
+        while k < stop:
+            w = indices[k]
+            k += 1
             dx = abs(w // side - tx)
             dy = abs(w % side - ty)
             # min(d, side - d) per axis, as a branch: d <= n exactly when d < side - d
@@ -406,10 +437,10 @@ def greedy_route(graph: SmallWorldGraph, source, target, hop_cap=None) -> Routin
                 dx = side - dx
             if dy > n:
                 dy = side - dy
-            if dx + dy < best:  # rows are sorted, so the first minimum is the smallest index
+            if dx + dy < best or (dx + dy == best and w < nxt):
                 best = dx + dy
                 nxt = w
-        cur = nxt
+        cur, dist = nxt, best
         hops += 1
     return RoutingResult(source=source, target=target, hops=hops, delivered=cur == target)
 

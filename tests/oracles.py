@@ -24,6 +24,7 @@ from swmix.generate import (
     ModelParams,
     SmallWorldGraph,
     _assemble,
+    _pair_keys,
     _sampling_normalizer,
     _stream,
     long_range_normalizer,
@@ -678,7 +679,7 @@ def sample_graph_naive(params: ModelParams) -> SmallWorldGraph:
         probs = dist[iu, iv].astype(np.float64) ** -r / z
         accept = rng.random(probs.size) < probs
         long_pairs.append(np.column_stack([u[iu[accept]], v[iv[accept]]]))
-    return _assemble(params, np.concatenate(long_pairs), z)
+    return _assemble(params, _pair_keys(np.concatenate(long_pairs), N), z)
 
 
 # The subset scan refuses graphs above this many vertices.  At N = 25 it

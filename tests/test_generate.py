@@ -25,7 +25,9 @@ from swmix import (
     torus_only_graph,
 )
 from swmix import generate
-from swmix.generate import _assemble, _stream
+from swmix.generate import _assemble, _pair_keys, _philox_keys, _stream, _streams
+from swmix.harness import derive_seed
+from swmix.torus import torus_neighbor_indices
 
 
 def test_params_validation():
@@ -159,10 +161,10 @@ def test_assemble_ignores_pair_order_and_orientation():
     pairs = np.array(g.long_range_edges)
     shuffled = pairs[np.random.default_rng(0).permutation(len(pairs))]
     for variant in (pairs[::-1], pairs[:, ::-1], shuffled, shuffled[:, ::-1]):
-        _assert_same_graph(_assemble(g.params, variant.copy(), g.normalizer), g)
+        _assert_same_graph(_assemble(g.params, _pair_keys(variant, g.num_vertices), g.normalizer), g)
     naive = oracles.sample_graph_naive(ModelParams(n=4, r=1.0, seed=9))
     swapped = np.array(naive.long_range_edges)[::-1, ::-1].copy()
-    _assert_same_graph(_assemble(naive.params, swapped, naive.normalizer),
+    _assert_same_graph(_assemble(naive.params, _pair_keys(swapped, naive.num_vertices), naive.normalizer),
                        oracles.assemble_lexsort(naive.params, swapped, naive.normalizer))
     bare = torus_only_graph(3)
     _assert_same_graph(bare, oracles.assemble_lexsort(bare.params, np.empty((0, 2), np.int64), 0.0))
@@ -407,6 +409,31 @@ def test_stream_registry_matches_explicit_philox():
             ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
             got = _stream(seed, *key).integers(0, 2**62, size=8)
             assert np.array_equal(got, ref.integers(0, 2**62, size=8)), (seed, key)
+    # the class keys of n = 1, 2 and 64, one batch per n, and each table key on its own
+    class_keys = [[(d,) for d in range(2, 2 * n + 1)] for n in (1, 2, 64)]
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1, derive_seed(0, 64, 2.0, 0)):
+        for batch in class_keys + [[key] for key in keys]:
+            got = _philox_keys(seed, batch)
+            want = [np.random.SeedSequence(entropy=seed, spawn_key=key).generate_state(2, np.uint64) for key in batch]
+            assert got.dtype == np.uint64 and np.array_equal(got, np.array(want)), (seed, batch)
+        streams = _streams(seed, class_keys[1])
+        for key, rng in zip(class_keys[1], streams):
+            ref = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
+            assert np.array_equal(rng.integers(0, 2**62, size=8), ref.integers(0, 2**62, size=8)), (seed, key)
+
+
+def test_long_range_rows_are_the_csr_rows_without_the_torus():
+    graphs = [sample_graph(ModelParams(n=n, r=r, seed=11)) for n in (1, 2, 5, 9) for r in (0.0, 2.0, 8.0)]
+    for g in graphs + [torus_only_graph(1), torus_only_graph(4)]:
+        indptr, indices = g.long_range_rows
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        assert indptr.dtype == np.int64 and indptr.shape == (g.num_vertices + 1,)
+        assert indices.size == 2 * len(g.long_range_edges)
+        torus = torus_neighbor_indices(g.n)
+        for v in range(g.num_vertices):
+            row = g.neighbours(v)
+            want = row[~np.isin(row, torus[v])]
+            assert np.array_equal(indices[indptr[v] : indptr[v + 1]], want), (g.params, v)
 
 
 def test_streams_are_built_only_in_generate():

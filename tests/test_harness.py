@@ -120,6 +120,38 @@ def test_sweep_config_validation():
             SweepConfig(**{**good, "n_values": (3, bad)})
 
 
+def test_exponent_rule_is_shared():
+    # bools and strings are not exponents, wherever r enters
+    for bad in (True, np.True_, "1.5", "2", None):
+        with pytest.raises(TypeError, match="r must be a real number"):
+            ModelParams(n=2, r=bad, seed=0)
+        with pytest.raises(TypeError, match="r must be a real number"):
+            derive_seed(0, 8, bad, 0)
+        with pytest.raises(TypeError, match="r_values entry"):
+            SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0, bad), num_seeds=1)
+    for bad in (-0.5, float("nan")):
+        with pytest.raises(ValueError):
+            derive_seed(0, 8, bad, 0)
+    for good in (2, 2.0, np.float32(2.0), np.int64(2), np.uint8(2)):
+        assert ModelParams(n=2, r=good, seed=0).r == 2.0
+        assert derive_seed(0, 8, good, 0) == derive_seed(0, 8, 2.0, 0)
+        cfg = SweepConfig(experiment="mix", n_values=(3,), r_values=(good,), num_seeds=1)
+        assert cfg.r_values == (2.0,) and type(cfg.r_values[0]) is float
+
+
+def test_include_sweep_min_must_be_a_bool():
+    good = dict(experiment="conductance", n_values=(3,), r_values=(1.0,), num_seeds=1)
+    for bad in ("false", "False", 0, 1, None):
+        with pytest.raises(TypeError, match="include_sweep_min"):
+            SweepConfig(**good, include_sweep_min=bad)
+    for flag in (False, True, np.False_, np.True_):
+        cfg = SweepConfig(**good, include_sweep_min=flag)
+        assert cfg.include_sweep_min is bool(flag)
+    assert config_digest(SweepConfig(**good, include_sweep_min=np.False_)) == config_digest(
+        SweepConfig(**good, include_sweep_min=False)
+    )
+
+
 def test_sweep_config_rejects_fractional_seeds():
     # 2.5 is rejected, not truncated to seed 2, and True is not seed 1
     for bad in NON_INTEGERS:
@@ -411,8 +443,9 @@ def test_greedy_route_rejects_non_integral_vertices():
     assert greedy_route(g, np.int64(3), np.uint16(5)) == want
 
 
-@pytest.mark.parametrize("n", [3, 6])
-@pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 4.0])
+# n = 1 and 2 have sides 3 and 5, where most steps wrap around
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+@pytest.mark.parametrize("r", [0.0, 1.0, 2.0, 4.0, 8.0])
 def test_greedy_route_matches_oracle_all_pairs(n, r):
     g = sample_graph(ModelParams(n=n, r=r, seed=77 + n))
     assert len(g.long_range_edges) > 0
@@ -425,13 +458,14 @@ def test_greedy_route_matches_oracle_all_pairs(n, r):
 
 
 def test_greedy_route_capped_matches_oracle():
-    g = sample_graph(ModelParams(n=6, r=1.0, seed=5))
-    N = g.num_vertices
-    pairs = [(s, t) for s in range(0, N, 3) for t in range(N)]
-    want = oracles.greedy_routes(g, pairs, 2)
-    got = [greedy_route(g, s, t, hop_cap=2) for s, t in pairs]
-    assert [(res.hops, res.delivered) for res in got] == want
-    assert any(hops == 2 and not delivered for hops, delivered in want)
+    for n, r, seed, cap in ((6, 1.0, 5, 2), (1, 2.0, 5, 1), (2, 1.0, 7, 2), (2, 8.0, 6, 1), (6, 8.0, 3, 2)):
+        g = sample_graph(ModelParams(n=n, r=r, seed=seed))
+        N = g.num_vertices
+        pairs = [(s, t) for s in range(0, N, 3 if n > 2 else 1) for t in range(N)]
+        want = oracles.greedy_routes(g, pairs, cap)
+        got = [greedy_route(g, s, t, hop_cap=cap) for s, t in pairs]
+        assert [(res.hops, res.delivered) for res in got] == want, (n, r, seed)
+        assert any(hops == cap and not delivered for hops, delivered in want), (n, r, seed)
 
 
 def test_routing_sweep_records():
