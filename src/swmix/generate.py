@@ -30,6 +30,11 @@ repeats one key at a time picks, because two classes never share a key (their
 pairs lie at different torus distances) and the first occurrence of a key in
 draw order is the one a one-at-a-time loop would meet first.
 
+Layout. A graph stores its degrees, its long-range pairs and their sorted
+rows over an implicit torus.  The full CSR is built on first read by one
+sort of the directed-edge keys, for the walk's adjacency, the cut code of
+swmix.expansion and SmallWorldGraph.neighbours; BFS and routing never do.
+
 Randomness. Every draw in the package comes from ``_stream(seed, *spawn_key)``
 (or ``_streams`` for many keys at once), a counter-based Philox stream keyed
 by (seed, purpose) and so reproducible independently of evaluation order.
@@ -236,26 +241,33 @@ def edge_probability(n, r, distance) -> float:
 
 @dataclass(frozen=True)
 class SmallWorldGraph:
-    """One sampled graph, stored as a CSR adjacency over canonical indices.
+    """One sampled graph: the long-range rows over an implicit torus.
+
+    Every vertex has the same 4 torus edges, so a graph stores only its
+    long-range part.  `indptr` and `indices`, the CSR of the whole graph,
+    are built on first read and cached, for `neighbours`, `adjacency` (walk,
+    spectral) and the cut, sweep-cut and box-set code of swmix.expansion.
+    BFS reads `neighbour_slots` and greedy routing `long_range_rows`, so
+    neither builds them.
 
     Attributes:
         params: the (n, r, seed) triple the graph was sampled from.
         num_vertices: N = (2n+1)^2.
-        indptr, indices: CSR structure of the symmetric adjacency; neighbour
-            lists are sorted and contain no duplicates.
-        degrees: (N,) vertex degrees; always >= 4 because of the torus edges.
+        degrees: (N,) vertex degrees, 4 torus edges plus the long-range degree.
         edge_count: number of undirected edges |E| = 2N + #long-range.
         long_range_edges: (k, 2) canonical index pairs with u < v, sorted.
+        long_range_rows: (indptr, indices) of the rows without their 4 torus
+            neighbours: row v lists the long-range neighbours of v, sorted,
+            at indices[indptr[v] : indptr[v + 1]].
         normalizer: the constant Z of the sampled parameters.
     """
 
     params: ModelParams
     num_vertices: int
-    indptr: np.ndarray
-    indices: np.ndarray
     degrees: np.ndarray
     edge_count: int
     long_range_edges: np.ndarray
+    long_range_rows: tuple
     normalizer: float
 
     @property
@@ -269,6 +281,29 @@ class SmallWorldGraph:
         """Sorted canonical indices adjacent to v (read-only view)."""
         v = _integer(v, "vertex", 0, self.num_vertices)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        """CSR row pointers of the symmetric adjacency: the long-range row pointers plus 4 per row (read-only)."""
+        indptr = self.long_range_rows[0] + 4 * np.arange(self.num_vertices + 1)
+        indptr.setflags(write=False)
+        return indptr
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """CSR neighbour lists of the symmetric adjacency, each row sorted, no duplicates (read-only).
+
+        One sort of the directed-edge keys row * N + col, 4N torus and 2k
+        long-range, orders the rows and, within each row, the neighbours.
+        """
+        N = self.num_vertices
+        lo, hi = self.long_range_edges.T
+        torus_keys = np.arange(N, dtype=np.int64)[:, None] * N + torus_neighbor_indices(self.n)
+        keys = np.concatenate([torus_keys.reshape(-1), lo * N + hi, hi * N + lo])
+        keys.sort()
+        indices = keys % N
+        indices.setflags(write=False)
+        return indices
 
     @cached_property
     def adjacency(self) -> scipy.sparse.csr_matrix:
@@ -288,22 +323,6 @@ class SmallWorldGraph:
         return rows
 
     @cached_property
-    def long_range_rows(self) -> tuple:
-        """(indptr, indices) of the CSR rows without their 4 torus neighbours (read-only).
-
-        Row v lists the long-range neighbours of v, sorted, at
-        indices[indptr[v] : indptr[v + 1]].
-        """
-        N = self.num_vertices
-        lo, hi = self.long_range_edges.T
-        indices = np.sort(np.concatenate([lo * N + hi, hi * N + lo])) % N
-        indptr = np.zeros(N + 1, dtype=np.int64)
-        np.cumsum(self.degrees - 4, out=indptr[1:])
-        for arr in (indptr, indices):
-            arr.setflags(write=False)
-        return indptr, indices
-
-    @cached_property
     def neighbour_slots(self) -> tuple:
         """Degree-ordered neighbour-slot layout that every BFS level gathers through.
 
@@ -311,14 +330,19 @@ class SmallWorldGraph:
         decreasing degree and rank is its inverse permutation.  In rank
         space the vertices with a j-th neighbour form a prefix, and
         columns[j] holds the rank of the j-th neighbour of each of them, so
-        one dense gather per slot visits every CSR entry exactly once.
+        one dense gather per slot visits every edge end exactly once.  Slots
+        0-3 are the torus moves of torus_neighbor_indices and the later
+        slots walk the long-range rows, so the layout never builds the CSR.
         """
         deg = self.degrees
         order = np.argsort(-deg)
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
-        first = self.indptr[order]
-        columns = tuple(rank[self.indices[first[: np.count_nonzero(deg > j)] + j]] for j in range(deg.max()))
+        torus = rank[torus_neighbor_indices(self.n)[order]].T.copy()
+        indptr, indices = self.long_range_rows
+        first = indptr[order]
+        extra = (rank[indices[first[: np.count_nonzero(deg > j + 4)] + j]] for j in range(deg.max() - 4))
+        columns = (*torus, *extra)
         for arr in (order, rank, *columns):
             arr.setflags(write=False)
         return order, rank, columns
@@ -331,33 +355,29 @@ def _pair_keys(pairs, N: int) -> np.ndarray:
 
 
 def _assemble(params: ModelParams, long_keys: np.ndarray, normalizer: float) -> SmallWorldGraph:
-    """Build the CSR graph from the torus plus the long-range pairs with the given sorted keys.
+    """Build the graph from the long-range pairs with the given sorted keys; the torus stays implicit.
 
-    long_keys holds one int64 key lo * N + hi per pair (see _pair_keys).
-    Every directed edge is one key row * N + col, so a single sort of the
-    keys orders the rows and, within each row, the neighbours.
+    long_keys holds one int64 key lo * N + hi per pair (see _pair_keys).  One
+    sort of the 2k directed keys row * N + col orders the long-range rows.
     """
-    n = params.n
-    N = num_vertices(n)
+    N = num_vertices(params.n)
     lo, hi = np.divmod(long_keys, N)
     long_pairs = np.column_stack((lo, hi))
-    torus_keys = np.arange(N, dtype=np.int64)[:, None] * N + torus_neighbor_indices(n)
-    keys = np.concatenate([torus_keys.reshape(-1), long_keys, hi * N + lo])
+    keys = np.concatenate([long_keys, hi * N + lo])
     keys.sort()
-    indices = keys % N
     degrees = np.bincount(long_pairs.reshape(-1), minlength=N) + 4
     indptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    for arr in (indices, indptr, degrees, long_pairs):
+    np.cumsum(degrees - 4, out=indptr[1:])
+    rows = (indptr, keys % N)
+    for arr in (*rows, degrees, long_pairs):
         arr.setflags(write=False)
     return SmallWorldGraph(
         params=params,
         num_vertices=N,
-        indptr=indptr,
-        indices=indices,
         degrees=degrees,
-        edge_count=indices.size // 2,
+        edge_count=2 * N + long_keys.size,
         long_range_edges=long_pairs,
+        long_range_rows=rows,
         normalizer=normalizer,
     )
 

@@ -15,6 +15,7 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -555,7 +556,13 @@ def sample_graph_setloop(params):
 
 
 def assemble_lexsort(params, long_pairs, normalizer):
-    """CSR graph of the torus plus long_pairs, ordered by two-key lexsorts."""
+    """CSR graph of the torus plus long_pairs, ordered by two-key lexsorts.
+
+    Returns a namespace with the attributes a SmallWorldGraph exposes
+    (params, num_vertices, indptr, indices, degrees, edge_count,
+    long_range_edges, normalizer), so its CSR is this module's own and is
+    compared against the library graph's on-demand CSR.
+    """
     n = params.n
     N = num_vertices(n)
     nbr = torus_neighbor_indices(n)
@@ -579,7 +586,7 @@ def assemble_lexsort(params, long_pairs, normalizer):
     degrees = np.diff(indptr)
     for arr in (indices, indptr, degrees, long_pairs):
         arr.setflags(write=False)
-    return SmallWorldGraph(
+    return SimpleNamespace(
         params=params,
         num_vertices=N,
         indptr=indptr,

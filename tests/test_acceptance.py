@@ -15,6 +15,7 @@ import pytest
 import scipy.stats
 
 import oracles
+import support
 from swmix import (
     ModelParams,
     SweepConfig,
@@ -376,3 +377,31 @@ def test_c14_diameter_band(capsys, diameter_records):
     detail = ", ".join(f"n={n}: {v:.2f}" for n, v in normed.items())
     _report(capsys, 14, spread <= 2.0,
             f"r=1 median exact diameter / ln N across n ({detail}): spread {spread:.3f} <= 2")
+
+
+def _growth_per_ln(med):
+    """(t_mix / ln N at n = 32) / (t_mix / ln N at n = 8), from medians by n."""
+    return (med[32] / math.log(num_vertices(32))) / (med[8] / math.log(num_vertices(8)))
+
+
+def test_c15_critical_regime_order(capsys, mix_r1_records, mix_r2_records, mix_r4_records):
+    # The growth threshold is frozen from the pilot (seed base 1000): the
+    # geometric midpoint of its r = 1 and r = 2 growth of t_mix / ln N from
+    # n = 8 to 32 (1.06 and 1.47), so 1.25.
+    cal = support.load_calibration()
+    pilot_r1 = cal["mix_r1_tmix_over_lnN"]["32"] / cal["mix_r1_tmix_over_lnN"]["8"]
+    pilot_r2 = _growth_per_ln({int(n): t for n, t in cal["mix_r2_tmix"].items()})
+    cut = math.sqrt(pilot_r1 * pilot_r2)
+    med = {r: _medians_by_n(recs, "t_mix") for r, recs in
+           ((1, mix_r1_records), (2, mix_r2_records), (4, mix_r4_records))}
+    g1, g2 = _growth_per_ln(med[1]), _growth_per_ln(med[2])
+    grows = g2 > cut and 1 / cut < g1 < cut
+    # t_mix growth per doubling of n, at each doubling
+    steps = {r: [med[r][2 * n] / med[r][n] for n in (8, 16)] for r in (2, 4)}
+    slower = all(a < b for a, b in zip(steps[2], steps[4]))
+    ordered = all(med[1][n] < med[2][n] < med[4][n] for n in (8, 16, 32))
+    order = "; ".join(f"n={n}: {med[1][n]:g} < {med[2][n]:g} < {med[4][n]:g}" for n in (8, 16, 32))
+    _report(capsys, 15, grows and slower and ordered,
+            f"t_mix/ln N growth n=8->32: r=2 {g2:.2f} > {cut:.2f}, r=1 {g1:.2f} within 1/{cut:.2f}..{cut:.2f}; "
+            f"per-doubling t_mix growth r=2 ({', '.join(f'{q:.2f}' for q in steps[2])}) below "
+            f"r=4 ({', '.join(f'{q:.2f}' for q in steps[4])}); median t_mix r=1 < r=2 < r=4 ({order})")

@@ -1,5 +1,7 @@
 """Sampling layer: normalizer, edge probabilities, samplers, graph files."""
 
+import importlib.util
+import json
 import math
 import re
 from pathlib import Path
@@ -434,6 +436,32 @@ def test_long_range_rows_are_the_csr_rows_without_the_torus():
             row = g.neighbours(v)
             want = row[~np.isin(row, torus[v])]
             assert np.array_equal(indices[indptr[v] : indptr[v + 1]], want), (g.params, v)
+
+
+def _digest_script():
+    path = Path(__file__).parent / "data" / "make_graph_digests.py"
+    spec = importlib.util.spec_from_file_location("make_graph_digests", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_graphs_match_committed_digests(tmp_path):
+    # the digests come from the sampler that sorted the full CSR inside every
+    # sample_graph call; the on-demand CSR and a file round trip must rebuild it
+    script = _digest_script()
+    want = json.loads(script.OUT.read_text(encoding="utf-8"))
+    seen, cells = [], set()
+    for key, g in script.graphs():
+        assert script.digest(g) == want[key], key
+        seen.append(key)
+        cell = key.rsplit(" ", 1)[0]
+        if cell not in cells:
+            # one file round trip per (n, r) cell: parsing every n = 128 file would take seconds
+            cells.add(cell)
+            save_graph(g, tmp_path / "g.swg")
+            assert script.digest(load_graph(tmp_path / "g.swg")) == want[key], key
+    assert sorted(seen) == sorted(want) and len(seen) == 324 and len(cells) == 54
 
 
 def test_streams_are_built_only_in_generate():

@@ -34,6 +34,7 @@ from swmix import (
     torus_only_graph,
 )
 from swmix import walk
+from swmix.generate import SmallWorldGraph
 from swmix.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -728,3 +729,26 @@ def test_mixing_demo_runs():
 def test_box_partition_demo_runs():
     out = run_demo("05_box_partitions.py")
     assert "\ndichotomy holds on 2000/2000 random sets (it is a theorem, so always)\n" in out
+
+
+@pytest.mark.parametrize("experiment, builds", [("routing", 0), ("diameter", 0), ("mix", 1)])
+def test_csr_is_built_only_where_it_is_read(experiment, builds, monkeypatch):
+    # routing reads the long-range rows and BFS the neighbour slots; of these
+    # cells only the walk's adjacency reads the CSR, and it builds it once
+    counts = {"indptr": 0, "indices": 0}
+    for name in counts:
+        build = getattr(SmallWorldGraph, name).func
+
+        def counting(graph, name=name, build=build):
+            counts[name] += 1
+            return build(graph)
+
+        monkeypatch.setattr(getattr(SmallWorldGraph, name), "func", counting)
+    graphs = []
+    sample = swmix.harness.sample_graph
+    monkeypatch.setattr(swmix.harness, "sample_graph", lambda params: graphs.append(sample(params)) or graphs[-1])
+    cfg = SweepConfig(experiment=experiment, n_values=(6,), r_values=(1.0, 2.0), seeds=(0, 1), workers=1, pairs=20)
+    assert len(run_sweep(cfg)) == len(graphs) == 4
+    assert counts == {"indptr": 4 * builds, "indices": 4 * builds}
+    for g in graphs:
+        assert {"indptr", "indices"} & set(vars(g)) == ({"indptr", "indices"} if builds else set())
