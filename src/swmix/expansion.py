@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bfs
 from .errors import CapacityError
-from .generate import SmallWorldGraph
+from .generate import SmallWorldGraph, _pair_keys
 from .torus import BoxPartition, _as_mask, _check_n, _integer, _split
 from .walk import second_eigenpair
 
@@ -66,13 +66,11 @@ def _cut_entries(graph: SmallWorldGraph, S: np.ndarray):
 
 
 def edge_boundary(graph: SmallWorldGraph, S) -> np.ndarray:
-    """Edges leaving S, as (k, 2) pairs (u, v) with u < v, lexsorted."""
+    """Edges leaving S, as (k, 2) pairs (u, v) with u < v, lexsorted (the order of their keys u * N + v)."""
     S = _as_mask(S, graph.n)
-    heads, tails = _cut_entries(graph, S)
-    pairs = np.column_stack([heads, tails])
-    pairs.sort(axis=1)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    return pairs[order]
+    N = graph.num_vertices
+    keys = _pair_keys(np.column_stack(_cut_entries(graph, S)), N)
+    return np.column_stack(np.divmod(keys, N))
 
 
 def vertex_boundary(graph: SmallWorldGraph, S) -> np.ndarray:

@@ -31,8 +31,8 @@ pairs lie at different torus distances) and the first occurrence of a key in
 draw order is the one a one-at-a-time loop would meet first.
 
 Layout. A graph stores its degrees, its long-range pairs and their sorted
-rows over an implicit torus.  The full CSR is built on first read by one
-sort of the directed-edge keys, for the walk's adjacency, the cut code of
+rows over an implicit torus.  The full CSR merges those rows with the torus
+rows on first read, for the walk's adjacency, the cut code of
 swmix.expansion and SmallWorldGraph.neighbours; BFS and routing never do.
 
 Randomness. Every draw in the package comes from ``_stream(seed, *spawn_key)``
@@ -239,7 +239,7 @@ def edge_probability(n, r, distance) -> float:
     return float(distance) ** -float(r) / _sampling_normalizer(n, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallWorldGraph:
     """One sampled graph: the long-range rows over an implicit torus.
 
@@ -248,7 +248,7 @@ class SmallWorldGraph:
     are built on first read and cached, for `neighbours`, `adjacency` (walk,
     spectral) and the cut, sweep-cut and box-set code of swmix.expansion.
     BFS reads `neighbour_slots` and greedy routing `long_range_rows`, so
-    neither builds them.
+    neither builds them.  Graphs compare and hash by identity.
 
     Attributes:
         params: the (n, r, seed) triple the graph was sampled from.
@@ -293,14 +293,17 @@ class SmallWorldGraph:
     def indices(self) -> np.ndarray:
         """CSR neighbour lists of the symmetric adjacency, each row sorted, no duplicates (read-only).
 
-        One sort of the directed-edge keys row * N + col, 4N torus and 2k
-        long-range, orders the rows and, within each row, the neighbours.
+        The CSR merges the stored long-range rows, one sorted run of 2k
+        directed-edge keys row * N + col, with the 4N torus keys, which are
+        in row order and unsorted only within a row, by one stable sort
+        (numpy's timsort merges presorted runs).
         """
         N = self.num_vertices
-        lo, hi = self.long_range_edges.T
-        torus_keys = np.arange(N, dtype=np.int64)[:, None] * N + torus_neighbor_indices(self.n)
-        keys = np.concatenate([torus_keys.reshape(-1), lo * N + hi, hi * N + lo])
-        keys.sort()
+        indptr, long_cols = self.long_range_rows
+        vertices = np.arange(N, dtype=np.int64)
+        torus_keys = vertices[:, None] * N + torus_neighbor_indices(self.n)
+        keys = np.concatenate([torus_keys.reshape(-1), np.repeat(vertices, np.diff(indptr)) * N + long_cols])
+        keys.sort(kind="stable")
         indices = keys % N
         indices.setflags(write=False)
         return indices
@@ -462,8 +465,7 @@ def save_graph(graph: SmallWorldGraph, path) -> None:
     """
     p = graph.params
     lines = [f"{GRAPH_FILE_MAGIC} {p.n} {p.r!r} {p.seed} {graph.normalizer!r} {graph.edge_count}"]
-    for u, v in graph.long_range_edges:
-        lines.append(f"{u} {v}")
+    lines.extend(f"{u} {v}" for u, v in graph.long_range_edges.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -24,6 +24,7 @@ the manifest object.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -258,21 +259,6 @@ class RoutingResult:
     target: int
     hops: int
     delivered: bool
-
-
-def _record(cfg: SweepConfig, graph: SmallWorldGraph, values: dict) -> ExperimentRecord:
-    p = graph.params
-    return ExperimentRecord(
-        experiment=cfg.experiment,
-        n=p.n,
-        r=p.r,
-        seed=p.seed,
-        num_vertices=graph.num_vertices,
-        edge_count=graph.edge_count,
-        normalizer=graph.normalizer,
-        version=__version__,
-        values=values,
-    )
 
 
 def _worker_count(cfg: SweepConfig) -> int:
@@ -525,19 +511,30 @@ _MEASURES = {
 EXPERIMENTS = tuple(_MEASURES)
 
 
+def _cell(cfg: SweepConfig, n: int, r: float, seed: int) -> ExperimentRecord:
+    """Sample the graph of one cell, measure it with ``_measure_<experiment>`` and wrap the columns in a record."""
+    params = ModelParams(n=n, r=r, seed=seed)
+    graph = sample_graph(params)
+    return ExperimentRecord(
+        experiment=cfg.experiment,
+        n=params.n,
+        r=params.r,
+        seed=params.seed,
+        num_vertices=graph.num_vertices,
+        edge_count=graph.edge_count,
+        normalizer=graph.normalizer,
+        version=__version__,
+        values=_MEASURES[cfg.experiment](graph, cfg),
+    )
+
+
 def run_sweep(cfg: SweepConfig) -> list:
     """Run the experiment named by cfg.experiment; records sorted by (n, r, seed).
 
-    Each cell samples its graph and measures it with ``_measure_<experiment>``,
-    whose docstring lists the columns, spawn keys and errors.
+    Each cell runs through ``_cell``; the docstring of ``_measure_<experiment>``
+    lists the columns, spawn keys and errors.
     """
-    measure = _MEASURES[cfg.experiment]
-
-    def cell(n, r, seed):
-        graph = sample_graph(ModelParams(n=n, r=r, seed=seed))
-        return _record(cfg, graph, measure(graph, cfg))
-
-    return _run_grid(cfg, cell)
+    return _run_grid(cfg, functools.partial(_cell, cfg))
 
 
 def emit(records, fmt, path, config: SweepConfig) -> None:

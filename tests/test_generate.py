@@ -1,5 +1,7 @@
 """Sampling layer: normalizer, edge probabilities, samplers, graph files."""
 
+import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -359,6 +361,25 @@ def test_save_load_bare_torus(tmp_path):
     assert h.long_range_edges.shape == (0, 2)
 
 
+def test_save_graph_bytes_are_pinned(tmp_path):
+    # sha256 of the file written before save_graph iterated plain Python ints
+    g = sample_graph(ModelParams(n=32, r=2.0, seed=7))
+    path = tmp_path / "g.swg"
+    save_graph(g, path)
+    assert g.edge_count == 10543
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "2e2b63b54bbc8b38451d8f033c6d8b7e51b912d87823edf72e8528acb2669734"
+    )
+
+
+def test_graphs_compare_and_hash_by_identity():
+    params = ModelParams(n=3, r=1.0, seed=0)
+    g, h = sample_graph(params), sample_graph(params)
+    assert g == g and g != h and not (g == h)
+    assert hash(g) == hash(g)
+    assert {g, h, g} == {g, h} and len({g, h}) == 2
+
+
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
@@ -436,6 +457,15 @@ def test_long_range_rows_are_the_csr_rows_without_the_torus():
             row = g.neighbours(v)
             want = row[~np.isin(row, torus[v])]
             assert np.array_equal(indices[indptr[v] : indptr[v + 1]], want), (g.params, v)
+
+
+def test_csr_reads_only_the_long_range_rows():
+    # the CSR merges long_range_rows with the torus, so emptying the pair list changes neither array
+    graphs = [sample_graph(ModelParams(n=n, r=r, seed=3)) for n in (1, 2, 6) for r in (0.0, 2.0)]
+    for g in graphs + [torus_only_graph(2)]:
+        bare = dataclasses.replace(g, long_range_edges=np.empty((0, 2), np.int64))
+        assert np.array_equal(bare.indptr, g.indptr), g.params
+        assert np.array_equal(bare.indices, g.indices), g.params
 
 
 def _digest_script():

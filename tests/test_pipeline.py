@@ -7,8 +7,10 @@ build.
 """
 
 import dataclasses
+import functools
 import hashlib
 import importlib.util
+import pickle
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,11 @@ GOLDEN_MIX_INTEGERS = [
     (16, 1, 5, 206), (15, 1, 5, 207), (18, 1, 6, 200), (18, 1, 6, 207),
 ]
 
+# The same tuples for one cell per r above the exact-start cap (n = 10, N = 441),
+# where starts="auto" takes the heuristic start set.
+HEURISTIC_MIX_CONFIG = dict(n_values=(10,), r_values=(1.0, 4.0), num_seeds=1)
+GOLDEN_HEURISTIC_MIX_INTEGERS = [(34, 0, 8, 1102), (77, 0, 12, 1097)]
+
 
 def golden_config(experiment, workers):
     return SweepConfig(experiment=experiment, workers=workers, **GOLDEN_CONFIGS[experiment])
@@ -57,15 +64,33 @@ def test_golden_records(experiment, workers, tmp_path, monkeypatch):
     cfg = golden_config(experiment, workers)
     records = run_sweep(cfg)
     if experiment == "mix":
-        got = [
-            (rec.values["t_mix"], rec.values["t_mix_exact"], rec.values["diameter"], rec.edge_count)
-            for rec in records
-        ]
-        assert got == GOLDEN_MIX_INTEGERS
+        assert _mix_integers(records) == GOLDEN_MIX_INTEGERS
         return
     path = tmp_path / "records.csv"
     emit(records, "csv", path, cfg)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[(experiment, workers)]
+
+
+def _mix_integers(records):
+    return [(rec.values["t_mix"], rec.values["t_mix_exact"], rec.values["diameter"], rec.edge_count)
+            for rec in records]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_heuristic_start_mix_records(workers, monkeypatch):
+    monkeypatch.delenv(harness.WORKERS_ENV_VAR, raising=False)
+    cfg = SweepConfig(experiment="mix", workers=workers, **HEURISTIC_MIX_CONFIG)
+    assert cfg.starts == "auto"
+    assert _mix_integers(run_sweep(cfg)) == GOLDEN_HEURISTIC_MIX_INTEGERS
+
+
+def test_sweep_cell_pickles():
+    # a process pool ships the cell by pickle; the unpickled cell must give the same record
+    cfg = golden_config("diameter", 1)
+    cell = functools.partial(harness._cell, cfg)
+    copy = pickle.loads(pickle.dumps(cell))
+    assert copy.func is harness._cell and copy.args == (cfg,)
+    assert copy(5, 3.0, 17) == cell(5, 3.0, 17)
 
 
 def test_every_experiment_has_a_golden_config():
