@@ -69,9 +69,10 @@ from .errors import GraphFormatError
 from .torus import (
     _check_n,
     _integer,
+    _ring_offset,
+    _ring_size,
     _shift,
     num_vertices,
-    ring_table,
     torus_neighbor_indices,
 )
 
@@ -210,12 +211,11 @@ def long_range_normalizer(n, r) -> float:
     r > 2.  Exact compensated summation keeps the value reproducible to the
     last few ulps.
     """
-    params = ModelParams(n=n, r=r, seed=0)  # reuse the domain validation
-    n, r = params.n, params.r
+    n, r = _check_n(n), _exponent(r, "r")
     if math.isinf(r):
         return 0.0
-    sizes = np.diff(ring_table(n)[1][2:]).tolist()  # ring_size(d, n) for d = 2, ..., 2n
-    return math.fsum(size * d**-r for d, size in zip(range(2, 2 * n + 1), sizes))
+    dists = range(2, 2 * n + 1)
+    return math.fsum(size * d**-r for d, size in zip(dists, _ring_size(np.array(dists), n).tolist()))
 
 
 def _sampling_normalizer(n, r) -> float:
@@ -351,10 +351,15 @@ class SmallWorldGraph:
         return order, rank, columns
 
 
+def _pair_key(u, v, N: int):
+    """Key lo * N + hi of each unordered pair {u, v}, elementwise in the order given."""
+    return np.minimum(u, v) * N + np.maximum(u, v)
+
+
 def _pair_keys(pairs, N: int) -> np.ndarray:
-    """Sorted int64 keys lo * N + hi of unordered vertex pairs given in any order and orientation."""
+    """Sorted int64 keys of unordered vertex pairs given in any order and orientation (see _pair_key)."""
     u, v = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    return np.sort(np.minimum(u, v) * N + np.maximum(u, v))
+    return np.sort(_pair_key(u, v, N))
 
 
 def _assemble(params: ModelParams, long_keys: np.ndarray, normalizer: float) -> SmallWorldGraph:
@@ -393,12 +398,10 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
     """
     n, r = params.n, params.r
     N = num_vertices(n)
-    dists = range(2, 2 * n + 1)
-    # class c is ring c + 2, at rows base[c] to base[c] + sizes[c] of the ring table
-    offsets, starts = ring_table(n)
-    base = starts[2:-1]
-    sizes = np.diff(starts[2:]).tolist()
-    rngs = _streams(params.seed, np.array(dists)[:, None])
+    dists = np.arange(2, 2 * n + 1)
+    # class c is ring c + 2; a draw picks offset i of its ring by the rule of torus._ring_offset
+    sizes = _ring_size(dists, n).tolist()
+    rngs = _streams(params.seed, dists[:, None])
     need = np.array(
         [int(rng.binomial(N * rs // 2, float(d) ** -r / z)) for rng, rs, d in zip(rngs, sizes, dists)],
         dtype=np.int64,
@@ -408,10 +411,10 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
     while active.size:
         batches = [max(16, int(1.2 * need[c])) for c in active]
         u = np.concatenate([rngs[c].integers(0, N, size=b) for c, b in zip(active, batches)])
-        oi = np.concatenate([rngs[c].integers(0, sizes[c], size=b) + base[c] for c, b in zip(active, batches)])
+        oi = np.concatenate([rngs[c].integers(0, sizes[c], size=b) for c, b in zip(active, batches)])
         cls = np.repeat(active, batches)
-        w = _shift(u, offsets[oi, 0], offsets[oi, 1], n)
-        keys = np.minimum(u, w) * N + np.maximum(u, w)
+        w = _shift(u, *_ring_offset(cls + 2, oi, n), n)
+        keys = _pair_key(u, w, N)
         # each distinct key's first draw: the least draw index in its run of the sorted keys
         order = np.argsort(keys)
         ordered = keys[order]

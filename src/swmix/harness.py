@@ -263,14 +263,11 @@ class RoutingResult:
 
 def _worker_count(cfg: SweepConfig) -> int:
     env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        workers = int(env)
-        if workers < 1:
-            raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}")
-        return workers
-    if cfg.workers is not None:
-        return cfg.workers
-    return min(8, os.cpu_count() or 1)
+    if env is None:
+        return cfg.workers or min(8, os.cpu_count() or 1)  # cfg.workers is None or >= 1
+    if not env.strip().isdecimal() or int(env) < 1:  # digits first: int("two") would not name the variable
+        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _run_grid(cfg: SweepConfig, cell) -> list:

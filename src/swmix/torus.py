@@ -41,7 +41,6 @@ __all__ = [
     "ring_size",
     "ring",
     "ring_offsets",
-    "ring_table",
     "torus_neighbor_indices",
     "torus_boundary_count",
     "mask_from_indices",
@@ -158,35 +157,32 @@ def ring_size(ell, n) -> int:
     """
     n = _check_n(n)
     ell = _integer(ell, "ring distance", 1, 2 * n + 1)
-    return 4 * min(ell, 2 * n + 1 - ell)
+    return int(_ring_size(ell, n))
 
 
-@lru_cache(maxsize=None)
-def ring_table(n) -> tuple:
-    """Every ring's offsets for torus parameter n, in one read-only table.
+def _ring_size(ell, n: int):
+    """ring_size of each ring distance in ell; broadcasts, unchecked."""
+    return 4 * np.minimum(ell, 2 * n + 1 - ell)
 
-    Returns (offsets, starts): offsets is the (N, 2) array of all box offsets
-    (a, b) with |a|, |b| <= n, sorted by (|a| + |b|, a, b), and ring ell
-    occupies rows starts[ell] to starts[ell + 1].  At ell > n the tails
-    |a| > n or |b| > n are cut off by the wraparound, so the box holds each
-    ring exactly.
+
+def _ring_offset(ell, i, n: int):
+    """Offset (a, b) number i of ring ell in (a, b) order; broadcasts, unchecked.
+
+    Ring ell <= n is (-ell, 0), then (a, -(ell - |a|)) and (a, ell - |a|)
+    for each a in (-ell, ell), then (ell, 0).  Past n the wraparound cuts
+    off every |a| < ell - n, so each a that is left has two offsets.
     """
-    n = _check_n(n)
-    a, b = _split(np.arange((2 * n + 1) ** 2, dtype=np.int64), n)
-    ell = np.abs(a) + np.abs(b)
-    order = np.lexsort((b, a, ell))
-    offsets = np.column_stack((a[order], b[order]))
-    starts = np.searchsorted(ell[order], np.arange(2 * n + 2))
-    for arr in (offsets, starts):
-        arr.setflags(write=False)
-    return offsets, starts
+    j = i + (ell <= n)
+    a = j // 2 - np.minimum(ell, n)
+    a = a + np.where((ell > n) & (a > n - ell), 2 * (ell - n) - 1, 0)
+    return a, (j % 2 * 2 - 1) * (ell - np.abs(a))
 
 
 def ring_offsets(ell, n) -> np.ndarray:
-    """Read-only (k, 2) array of all offsets at distance ell from the origin."""
-    ring_size(ell, n)  # checks n and ell
-    offsets, starts = ring_table(n)
-    return offsets[starts[ell] : starts[ell + 1]]
+    """Read-only (k, 2) int64 array of all offsets at distance ell from the origin, sorted by (a, b)."""
+    offsets = np.column_stack(_ring_offset(int(ell), np.arange(ring_size(ell, n)), int(n)))  # ring_size checks
+    offsets.setflags(write=False)
+    return offsets
 
 
 def ring(v, ell, n) -> np.ndarray:

@@ -603,7 +603,7 @@ def ring_offsets_loop(ell: int, n: int) -> np.ndarray:
 
     Offsets (a, b) with |a| + |b| = ell restricted to the coordinate box; at
     ell > n the tails |a| > n or |b| > n are cut off by the wraparound.  The
-    library's single sorted table must slice to the same read-only array.
+    library's rule, torus._ring_offset, must give the same read-only array.
     """
     lo = max(0, ell - n)
     hi = min(ell, n)

@@ -239,9 +239,10 @@ def test_workers_env_override(monkeypatch):
     records = run_sweep(cfg)
     monkeypatch.setenv("SWMIX_WORKERS", "1")
     assert run_sweep(cfg) == records
-    monkeypatch.setenv("SWMIX_WORKERS", "0")
-    with pytest.raises(ValueError):
-        run_sweep(cfg)
+    for bad in ("0", "two", "1.5"):
+        monkeypatch.setenv("SWMIX_WORKERS", bad)
+        with pytest.raises(ValueError, match=f"SWMIX_WORKERS must be a positive integer, got '{bad}'"):
+            run_sweep(cfg)
 
 
 def test_emit_csv_round_trip(tmp_path):

@@ -4,7 +4,9 @@ import ast
 import importlib
 import inspect
 import itertools
+import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from swmix import (
     coord_to_index,
     edge_boundary,
     index_to_coord,
+    long_range_normalizer,
     make_box_partition,
     mask_from_indices,
     num_vertices,
@@ -157,13 +160,33 @@ def test_ring_members_are_at_exact_distance():
 
 
 def test_ring_offsets_match_loop_oracle():
-    # the sorted table slices to each ring exactly, past the wraparound too
+    # the rule gives each ring exactly, past the wraparound too
     for n in range(1, 41):
         for ell in range(1, 2 * n + 1):
             got, expect = ring_offsets(ell, n), oracles.ring_offsets_loop(ell, n)
             assert np.array_equal(got, expect), (n, ell)
             assert got.dtype == expect.dtype and got.shape == expect.shape
             assert not got.flags.writeable
+
+
+def test_ring_geometry_allocates_no_vertex_table():
+    # n = 301 has N = 363,609 vertices; a ring or Z needs only O(n) memory
+    n, r = 301, 2.0
+    checks = [
+        (lambda: long_range_normalizer(n, r), math.fsum(ring_size(d, n) * d**-r for d in range(2, 2 * n + 1))),
+        (lambda: ring_offsets(5, n), oracles.ring_offsets_loop(5, n)),
+        (lambda: ring_offsets(600, n), oracles.ring_offsets_loop(600, n)),
+    ]
+    tracemalloc.start()
+    try:
+        for call, expect in checks:
+            tracemalloc.reset_peak()
+            got = call()
+            peak = tracemalloc.get_traced_memory()[1]
+            assert peak < 64 * 1024, peak
+            assert np.array_equal(got, expect)
+    finally:
+        tracemalloc.stop()
 
 
 def test_torus_neighbor_indices_of_origin():
