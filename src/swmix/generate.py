@@ -30,10 +30,12 @@ repeats one key at a time picks, because two classes never share a key (their
 pairs lie at different torus distances) and the first occurrence of a key in
 draw order is the one a one-at-a-time loop would meet first.
 
-Layout. A graph stores its degrees, its long-range pairs and their sorted
-rows over an implicit torus.  The full CSR merges those rows with the torus
-rows on first read, for the walk's adjacency, the cut code of
-swmix.expansion and SmallWorldGraph.neighbours; BFS and routing never do.
+Layout. A graph stores only its sorted long-range rows over an implicit
+torus.  The degrees and the pair list are derived from the rows on first
+read, and so is the full CSR, which merges them with the torus rows, for the
+walk's adjacency, the cut code of swmix.expansion and
+SmallWorldGraph.neighbours.  BFS builds only the degrees, and routing
+nothing.
 
 Randomness. Every draw in the package comes from ``_stream(seed, *spawn_key)``
 (or ``_streams`` for many keys at once), a counter-based Philox stream keyed
@@ -244,18 +246,18 @@ class SmallWorldGraph:
     """One sampled graph: the long-range rows over an implicit torus.
 
     Every vertex has the same 4 torus edges, so a graph stores only its
-    long-range part.  `indptr` and `indices`, the CSR of the whole graph,
-    are built on first read and cached, for `neighbours`, `adjacency` (walk,
-    spectral) and the cut, sweep-cut and box-set code of swmix.expansion.
-    BFS reads `neighbour_slots` and greedy routing `long_range_rows`, so
-    neither builds them.  Graphs compare and hash by identity.
+    long-range rows and four scalars.  Every other array is derived from the
+    rows on first read and cached, read-only: `degrees` and
+    `long_range_edges`, and `indptr` and `indices`, the CSR of the whole
+    graph, for `neighbours`, `adjacency` (walk, spectral) and the cut,
+    sweep-cut and box-set code of swmix.expansion.  BFS reads
+    `neighbour_slots` (and so `degrees`) and greedy routing only
+    `long_range_rows`.  Graphs compare and hash by identity.
 
     Attributes:
         params: the (n, r, seed) triple the graph was sampled from.
         num_vertices: N = (2n+1)^2.
-        degrees: (N,) vertex degrees, 4 torus edges plus the long-range degree.
         edge_count: number of undirected edges |E| = 2N + #long-range.
-        long_range_edges: (k, 2) canonical index pairs with u < v, sorted.
         long_range_rows: (indptr, indices) of the rows without their 4 torus
             neighbours: row v lists the long-range neighbours of v, sorted,
             at indices[indptr[v] : indptr[v + 1]].
@@ -264,9 +266,7 @@ class SmallWorldGraph:
 
     params: ModelParams
     num_vertices: int
-    degrees: np.ndarray
     edge_count: int
-    long_range_edges: np.ndarray
     long_range_rows: tuple
     normalizer: float
 
@@ -281,6 +281,24 @@ class SmallWorldGraph:
         """Sorted canonical indices adjacent to v (read-only view)."""
         v = _integer(v, "vertex", 0, self.num_vertices)
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
+
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        """(N,) vertex degrees: 4 torus edges plus the long-range row length (read-only)."""
+        degrees = np.diff(self.long_range_rows[0])
+        degrees += 4
+        degrees.setflags(write=False)
+        return degrees
+
+    @cached_property
+    def long_range_edges(self) -> np.ndarray:
+        """(k, 2) canonical pairs u < v, sorted: the long-range row entries with row < column (read-only)."""
+        indptr, cols = self.long_range_rows
+        rows = np.repeat(np.arange(self.num_vertices), np.diff(indptr))
+        upper = rows < cols
+        pairs = np.column_stack((rows[upper], cols[upper]))
+        pairs.setflags(write=False)
+        return pairs
 
     @cached_property
     def indptr(self) -> np.ndarray:
@@ -353,7 +371,10 @@ class SmallWorldGraph:
 
 def _pair_key(u, v, N: int):
     """Key lo * N + hi of each unordered pair {u, v}, elementwise in the order given."""
-    return np.minimum(u, v) * N + np.maximum(u, v)
+    keys = np.minimum(u, v)
+    keys *= N
+    keys += np.maximum(u, v)
+    return keys
 
 
 def _pair_keys(pairs, N: int) -> np.ndarray:
@@ -366,28 +387,51 @@ def _assemble(params: ModelParams, long_keys: np.ndarray, normalizer: float) -> 
     """Build the graph from the long-range pairs with the given sorted keys; the torus stays implicit.
 
     long_keys holds one int64 key lo * N + hi per pair (see _pair_keys).  One
-    sort of the 2k directed keys row * N + col orders the long-range rows.
+    sort of the 2k directed keys row * N + col orders the long-range rows,
+    which are all the graph stores.
     """
     N = num_vertices(params.n)
     lo, hi = np.divmod(long_keys, N)
-    long_pairs = np.column_stack((lo, hi))
     keys = np.concatenate([long_keys, hi * N + lo])
+    del lo, hi
     keys.sort()
-    degrees = np.bincount(long_pairs.reshape(-1), minlength=N) + 4
     indptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(degrees - 4, out=indptr[1:])
-    rows = (indptr, keys % N)
-    for arr in (*rows, degrees, long_pairs):
+    np.cumsum(np.bincount(keys // N, minlength=N), out=indptr[1:])
+    keys %= N
+    for arr in (indptr, keys):
         arr.setflags(write=False)
     return SmallWorldGraph(
         params=params,
         num_vertices=N,
-        degrees=degrees,
         edge_count=2 * N + long_keys.size,
-        long_range_edges=long_pairs,
-        long_range_rows=rows,
+        long_range_rows=(indptr, keys),
         normalizer=normalizer,
     )
+
+
+def _round_draws(rngs: list, sizes: list, active: np.ndarray, need: np.ndarray, n: int, N: int) -> tuple:
+    """Keys and classes of one round's draws, in draw order: a batch of (vertex, ring offset) pairs per active class."""
+    batches = [max(16, int(1.2 * need[c])) for c in active]
+    u = np.concatenate([rngs[c].integers(0, N, size=b) for c, b in zip(active, batches)])
+    oi = np.concatenate([rngs[c].integers(0, sizes[c], size=b) for c, b in zip(active, batches)])
+    cls = np.repeat(active, batches)
+    return _pair_key(u, _shift(u, *_ring_offset(cls + 2, oi, n), n), N), cls
+
+
+def _new_keys(keys: np.ndarray, cls: np.ndarray, need: np.ndarray, chosen: np.ndarray) -> tuple:
+    """Per class, its first keys in draw order new to the round and to chosen, up to need, and their classes."""
+    # each distinct key's first draw: the least draw index in its run of the sorted keys
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.flatnonzero(np.diff(ordered, prepend=-1))
+    first = np.minimum.reduceat(order, head)
+    del order
+    first = np.sort(first[~np.isin(ordered[head], chosen)])
+    del ordered, head
+    # Rank of each new key within its class, in draw order.
+    c = cls[first]
+    keep = first[np.arange(first.size) - np.searchsorted(c, c) < need[c]]
+    return keys[keep], cls[keep]
 
 
 def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
@@ -395,6 +439,8 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
 
     Each round draws one batch for every class that is still short and keeps,
     per class, its first new keys in draw order, up to the number it needs.
+    A round's arrays are freed when its two helpers return, before the next
+    round draws.
     """
     n, r = params.n, params.r
     N = num_vertices(n)
@@ -406,28 +452,15 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
         [int(rng.binomial(N * rs // 2, float(d) ** -r / z)) for rng, rs, d in zip(rngs, sizes, dists)],
         dtype=np.int64,
     )
-    chosen = [np.empty(0, np.int64)]
+    chosen = np.empty(0, np.int64)
     active = np.flatnonzero(need)
     while active.size:
-        batches = [max(16, int(1.2 * need[c])) for c in active]
-        u = np.concatenate([rngs[c].integers(0, N, size=b) for c, b in zip(active, batches)])
-        oi = np.concatenate([rngs[c].integers(0, sizes[c], size=b) for c, b in zip(active, batches)])
-        cls = np.repeat(active, batches)
-        w = _shift(u, *_ring_offset(cls + 2, oi, n), n)
-        keys = _pair_key(u, w, N)
-        # each distinct key's first draw: the least draw index in its run of the sorted keys
-        order = np.argsort(keys)
-        ordered = keys[order]
-        head = np.flatnonzero(np.diff(ordered, prepend=-1))
-        first = np.minimum.reduceat(order, head)
-        first = np.sort(first[~np.isin(ordered[head], np.concatenate(chosen))])
-        # Rank of each new key within its class, in draw order.
-        c = cls[first]
-        keep = first[np.arange(first.size) - np.searchsorted(c, c) < need[c]]
-        chosen.append(keys[keep])
-        need -= np.bincount(cls[keep], minlength=need.size)
+        keys, classes = _new_keys(*_round_draws(rngs, sizes, active, need, n, N), need, chosen)
+        chosen = np.concatenate([chosen, keys])
+        need -= np.bincount(classes, minlength=need.size)
         active = np.flatnonzero(need)
-    return np.sort(np.concatenate(chosen))
+    chosen.sort()
+    return chosen
 
 
 def sample_graph(params: ModelParams) -> SmallWorldGraph:

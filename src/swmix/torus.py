@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,14 +91,25 @@ def _coords(a, n: int) -> np.ndarray:
 def _split(index, n: int):
     """Coordinates (x, y) of canonical indices, scalars or arrays, unchecked."""
     x, y = np.divmod(index, 2 * n + 1)
-    return x - n, y - n
+    x -= n
+    y -= n
+    return x, y
 
 
 def _shift(index, dx, dy, n: int):
-    """Canonical index of index + (dx, dy) with wraparound; broadcasts, unchecked."""
+    """Canonical index of index + (dx, dy) with wraparound; dx and dy broadcast to index's shape, unchecked."""
     side = 2 * n + 1
     x, y = _split(index, n)
-    return (x + dx + n) % side * side + (y + dy + n) % side
+    # (x + dx + n) % side * side + (y + dy + n) % side, in place on the split's own arrays
+    x += dx
+    x += n
+    x %= side
+    x *= side
+    y += dy
+    y += n
+    y %= side
+    x += y
+    return x
 
 
 def num_vertices(n) -> int:
@@ -172,10 +182,18 @@ def _ring_offset(ell, i, n: int):
     for each a in (-ell, ell), then (ell, 0).  Past n the wraparound cuts
     off every |a| < ell - n, so each a that is left has two offsets.
     """
+    # in place on its own temporaries; b = (j % 2 * 2 - 1) * (ell - |a|)
     j = i + (ell <= n)
-    a = j // 2 - np.minimum(ell, n)
-    a = a + np.where((ell > n) & (a > n - ell), 2 * (ell - n) - 1, 0)
-    return a, (j % 2 * 2 - 1) * (ell - np.abs(a))
+    a = j // 2
+    a -= np.minimum(ell, n)
+    a += np.where((ell > n) & (a > n - ell), 2 * (ell - n) - 1, 0)
+    b = np.abs(a)
+    b -= ell
+    j %= 2
+    j *= -2
+    j += 1
+    b *= j
+    return a, b
 
 
 def ring_offsets(ell, n) -> np.ndarray:
@@ -204,7 +222,6 @@ def ring(v, ell, n) -> np.ndarray:
     return (v + ring_offsets(ell, n) + n) % side - n
 
 
-@lru_cache(maxsize=None)
 def torus_neighbor_indices(n: int) -> np.ndarray:
     """Read-only (N, 4) array of canonical neighbour indices (+x, -x, +y, -y)."""
     n = _check_n(n)
@@ -246,8 +263,9 @@ def torus_boundary_count(S, n):
     N = (2 * n + 1) ** 2
     if S.dtype != np.bool_ or S.shape[-1] != N:
         raise ValueError(f"vertex sets must be bool masks with final axis {N}")
-    nbr = torus_neighbor_indices(n)
-    count = (S != S[..., nbr[:, 0]]).sum(axis=-1) + (S != S[..., nbr[:, 2]]).sum(axis=-1)
+    # each cut edge once: compare every vertex with its +x and its +y neighbour on the (side, side) grid
+    grid = S.reshape(*S.shape[:-1], 2 * n + 1, 2 * n + 1)
+    count = sum((grid != np.roll(grid, -1, axis=axis)).sum(axis=(-2, -1)) for axis in (-2, -1))
     return int(count) if np.ndim(count) == 0 else count
 
 

@@ -1,11 +1,11 @@
 """Sampling layer: normalizer, edge probabilities, samplers, graph files."""
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +17,7 @@ from swmix import (
     CapacityError,
     GraphFormatError,
     ModelParams,
+    SmallWorldGraph,
     edge_probability,
     index_to_coord,
     load_graph,
@@ -459,13 +460,41 @@ def test_long_range_rows_are_the_csr_rows_without_the_torus():
             assert np.array_equal(indices[indptr[v] : indptr[v + 1]], want), (g.params, v)
 
 
-def test_csr_reads_only_the_long_range_rows():
-    # the CSR merges long_range_rows with the torus, so emptying the pair list changes neither array
+def test_graph_derives_every_array_from_the_long_range_rows():
+    # a graph built from long_range_rows and the scalars alone rebuilds the sampled graph's arrays
     graphs = [sample_graph(ModelParams(n=n, r=r, seed=3)) for n in (1, 2, 6) for r in (0.0, 2.0)]
     for g in graphs + [torus_only_graph(2)]:
-        bare = dataclasses.replace(g, long_range_edges=np.empty((0, 2), np.int64))
-        assert np.array_equal(bare.indptr, g.indptr), g.params
-        assert np.array_equal(bare.indices, g.indices), g.params
+        bare = SmallWorldGraph(
+            params=g.params,
+            num_vertices=g.num_vertices,
+            edge_count=g.edge_count,
+            long_range_rows=g.long_range_rows,
+            normalizer=g.normalizer,
+        )
+        for name in ("indptr", "indices", "degrees", "long_range_edges"):
+            got, want = getattr(bare, name), getattr(g, name)
+            assert np.array_equal(got, want) and got.dtype == want.dtype, (g.params, name)
+            assert not got.flags.writeable, (g.params, name)
+        assert bare.long_range_edges.shape == (len(g.long_range_rows[1]) // 2, 2)
+
+
+def test_sampled_graph_holds_only_its_long_range_rows():
+    # n = 128 has N = 66,049 vertices and about N / 2 long-range pairs: the
+    # rows take 1.0 MiB, and one round's draws at most a few arrays of 1.2 k keys
+    sample_graph(ModelParams(n=4, r=1.0, seed=0))  # imports and first-call set-up stay out of the trace
+    tracemalloc.start()
+    try:
+        for seed in (0, 1):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            g = sample_graph(ModelParams(n=128, r=1.0, seed=seed))
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+            assert peak < 3.0 * 2**20, (seed, peak)
+            assert held <= 1.1 * 2**20, (seed, held)
+            assert set(vars(g)) == {"params", "num_vertices", "edge_count", "long_range_rows", "normalizer"}
+            del g
+    finally:
+        tracemalloc.stop()
 
 
 def _digest_script():

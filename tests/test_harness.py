@@ -734,9 +734,10 @@ def test_box_partition_demo_runs():
 
 @pytest.mark.parametrize("experiment, builds", [("routing", 0), ("diameter", 0), ("mix", 1)])
 def test_csr_is_built_only_where_it_is_read(experiment, builds, monkeypatch):
-    # routing reads the long-range rows and BFS the neighbour slots; of these
-    # cells only the walk's adjacency reads the CSR, and it builds it once
-    counts = {"indptr": 0, "indices": 0}
+    # routing reads only the long-range rows, BFS the neighbour slots (which
+    # read the degrees) and the walk the degrees and the CSR adjacency.  No
+    # cell reads the pair list, and what a cell reads it builds once per graph
+    counts = dict.fromkeys(("degrees", "long_range_edges", "indptr", "indices"), 0)
     for name in counts:
         build = getattr(SmallWorldGraph, name).func
 
@@ -750,6 +751,8 @@ def test_csr_is_built_only_where_it_is_read(experiment, builds, monkeypatch):
     monkeypatch.setattr(swmix.harness, "sample_graph", lambda params: graphs.append(sample(params)) or graphs[-1])
     cfg = SweepConfig(experiment=experiment, n_values=(6,), r_values=(1.0, 2.0), seeds=(0, 1), workers=1, pairs=20)
     assert len(run_sweep(cfg)) == len(graphs) == 4
-    assert counts == {"indptr": 4 * builds, "indices": 4 * builds}
+    built = {"degrees"} if experiment != "routing" else set()
+    built |= {"indptr", "indices"} if builds else set()
+    assert counts == {name: 4 * (name in built) for name in counts}
     for g in graphs:
-        assert {"indptr", "indices"} & set(vars(g)) == ({"indptr", "indices"} if builds else set())
+        assert set(counts) & set(vars(g)) == built
