@@ -24,7 +24,7 @@ from itertools import count
 
 import numpy as np
 
-from .torus import _integer, _vertices
+from .torus import _integer, _integers
 
 __all__ = ["bfs_distances", "double_sweep", "eccentricities", "exact_diameter"]
 
@@ -96,7 +96,7 @@ def eccentricities(graph, sources) -> np.ndarray:
     source whose bit reached a new vertex.  Sources that are not
     one-dimensional raise ValueError.
     """
-    src = _vertices(sources, graph.num_vertices, "sources")
+    src = _integers(sources, "sources", 0, graph.num_vertices)
     if src.ndim != 1:
         raise ValueError(f"sources must be one-dimensional, got shape {src.shape}")
     out = np.zeros(src.size, dtype=np.int64)

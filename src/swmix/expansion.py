@@ -28,7 +28,7 @@ import numpy as np
 from . import bfs
 from .errors import CapacityError
 from .generate import SmallWorldGraph, _pair_keys
-from .torus import BoxPartition, _as_mask, _check_n, _integer, _split
+from .torus import BoxPartition, _as_mask, _check_n, _integer, _real, _split
 from .walk import second_eigenpair
 
 __all__ = [
@@ -156,29 +156,27 @@ def is_expanding(graph: SmallWorldGraph, S, epsilon, c) -> ExpansionVerdict:
     exact rational arithmetic.
 
     Raises:
+        TypeError: if epsilon or c is not a real number.
         ValueError: if S is empty, epsilon is outside (0, 1), or c <= 0.
     """
     S = _as_mask(S, graph.n)
     size = int(S.sum())
     if size == 0:
         raise ValueError("expansion check needs a nonempty vertex set")
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    epsilon, c = _real(epsilon, "epsilon", "(0, 1)"), _real(c, "c", "(0, inf]")
     heads, _ = _cut_entries(graph, S)
     per_vertex = np.bincount(heads, minlength=graph.num_vertices)[S]
     per_vertex.sort()
     prefix = np.cumsum(per_vertex)
-    m_floor = int(math.ceil((1 - Fraction(float(epsilon))) * size))
+    m_floor = int(math.ceil((1 - Fraction(epsilon)) * size))
     m_floor = max(m_floor, 1)
     sizes = np.arange(m_floor, size + 1)
     margins = prefix[sizes - 1] - c * sizes
     worst = int(np.argmin(margins))
     return ExpansionVerdict(
         holds=bool(margins[worst] >= 0),
-        epsilon=float(epsilon),
-        c=float(c),
+        epsilon=epsilon,
+        c=c,
         set_size=size,
         min_subset_size=m_floor,
         worst_subset_size=int(sizes[worst]),

@@ -71,6 +71,7 @@ from .errors import GraphFormatError
 from .torus import (
     _check_n,
     _integer,
+    _real,
     _ring_offset,
     _ring_size,
     _shift,
@@ -108,27 +109,8 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_n(self.n))
-        object.__setattr__(self, "r", _exponent(self.r, "r"))
+        object.__setattr__(self, "r", _real(self.r, "r", "[0, inf]"))
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, 2**64))
-
-
-def _exponent(r, what: str) -> float:
-    """r as a float, if it is a float (numpy floats too) or an integer that is >= 0 (math.inf passes).
-
-    Integers follow the integer rule of swmix.torus, so a bool, a string or
-    any other type raises TypeError; NaN or a negative value raises
-    ValueError.
-    """
-    if isinstance(r, (float, np.floating)):
-        value = float(r)
-    else:
-        try:
-            value = float(_integer(r, what, 0))
-        except TypeError:
-            raise TypeError(f"{what} must be a real number, got {r!r}") from None
-    if math.isnan(value) or value < 0:
-        raise ValueError(f"{what} must be a real number >= 0, got {r!r}")
-    return value
 
 
 # SeedSequence's hash constants, as numpy publishes them in bit_generator.pyx.
@@ -213,7 +195,7 @@ def long_range_normalizer(n, r) -> float:
     r > 2.  Exact compensated summation keeps the value reproducible to the
     last few ulps.
     """
-    n, r = _check_n(n), _exponent(r, "r")
+    n, r = _check_n(n), _real(r, "r", "[0, inf]")
     if math.isinf(r):
         return 0.0
     dists = range(2, 2 * n + 1)
@@ -481,10 +463,12 @@ def sample_graph(params: ModelParams) -> SmallWorldGraph:
 
 
 def torus_only_graph(n, seed=0) -> SmallWorldGraph:
-    """Bare torus with no long-range edges (the r -> infinity limit).
+    """The graph with no long-range edges: the bare torus, used as a baseline.
 
-    Used as a baseline and in exact small tests; its normalizer is 0 and it
-    cannot be resampled.
+    It is not the r -> infinity limit of the model: as r grows, a pair at
+    distance 2 is joined with probability tending to 1/8, so each vertex
+    keeps one distance-2 shortcut in expectation.  Its r is math.inf as a
+    marker, its normalizer is 0, and it cannot be resampled.
     """
     params = ModelParams(n=n, r=math.inf, seed=seed)
     return _assemble(params, np.empty(0, np.int64), 0.0)

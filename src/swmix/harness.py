@@ -38,8 +38,8 @@ import numpy as np
 from . import expansion
 from ._version import __version__
 from .errors import CapacityError
-from .generate import ModelParams, SmallWorldGraph, _exponent, _sampling_normalizer, _stream, sample_graph
-from .torus import _check_n, _integer, make_box_partition, mask_from_indices, num_vertices
+from .generate import ModelParams, SmallWorldGraph, _sampling_normalizer, _stream, sample_graph
+from .torus import _check_n, _integer, _real, make_box_partition, mask_from_indices, num_vertices
 from .walk import EXACT_STARTS_MAX_VERTICES, _START_POLICIES, mixing_time, second_eigenpair, stationary
 
 __all__ = [
@@ -92,6 +92,8 @@ def _coerce(column, value):
     if column in _STR_FIELDS:
         return str(value)
     if column in _INT_FIELDS or column.startswith("w_"):
+        if not float(value).is_integer():
+            raise ValueError(f"column {column} must hold an integer, got {value!r}")
         return int(value)
     return float(value)
 
@@ -107,7 +109,7 @@ def derive_seed(base, n, r, replicate) -> int:
     """
     base = _integer(base, "seed base", 0, 2**64)
     n = _check_n(n)
-    r = _exponent(r, "r")
+    r = _real(r, "r", "[0, inf]")
     replicate = _integer(replicate, "replicate", 0)
     msg = f"{base}:{n}:{r.hex()}:{replicate}".encode("ascii")
     return int.from_bytes(hashlib.sha256(msg).digest()[:8], "big")
@@ -127,8 +129,9 @@ class SweepConfig:
     random-set sample of the expansion experiment.
 
     Raises:
-        TypeError: for a non-integer n, seed, seed_base or count, an r that
-            is not a real number, or an include_sweep_min that is not a bool.
+        TypeError: for a non-integer n, seed, seed_base or count, an r or
+            ball_frac that is not a real number, or an include_sweep_min that
+            is not a bool.
         ValueError: for a field out of range, an unsampleable (n, r), or a zero conductance ball radius.
         CapacityError: for starts="all" with an n over the exact-starts cap.
     """
@@ -155,7 +158,7 @@ class SweepConfig:
         n_values = tuple(_check_n(v) for v in self.n_values)
         if not n_values:
             raise ValueError("n_values must be a nonempty list of integers >= 1")
-        r_values = tuple(_exponent(v, "r_values entry") for v in self.r_values)
+        r_values = tuple(_real(v, "r_values entry", "[0, inf]") for v in self.r_values)
         if not r_values:
             raise ValueError("r_values must be a nonempty list of reals >= 0")
         for n in n_values:
@@ -175,9 +178,7 @@ class SweepConfig:
         object.__setattr__(self, "seed_base", _integer(self.seed_base, "seed_base", 0, 2**64))
         if self.starts not in _START_POLICIES:
             raise ValueError(f"starts must be one of {_START_POLICIES}, got {self.starts!r}")
-        if not 0 < float(self.ball_frac) < 1:
-            raise ValueError(f"ball_frac must lie in (0, 1), got {self.ball_frac!r}")
-        object.__setattr__(self, "ball_frac", float(self.ball_frac))
+        object.__setattr__(self, "ball_frac", _real(self.ball_frac, "ball_frac", "(0, 1)"))
         if type(self.include_sweep_min) not in (bool, np.bool_):  # a flag, not the integer rule: 0 and 1 fail too
             raise TypeError(f"include_sweep_min must be a bool, got {self.include_sweep_min!r}")
         object.__setattr__(self, "include_sweep_min", bool(self.include_sweep_min))
@@ -226,7 +227,8 @@ class ExperimentRecord:
     The common fields (n, r, seed, sizes, normalizer, package version) are
     enough provenance to regenerate the record bit for bit.  Construction
     gives every column its type by name (str, int or float), for records
-    measured, loaded or built by hand alike.
+    measured, loaded or built by hand alike; a value that is not integral
+    in an integer column raises ValueError.
     """
 
     experiment: str

@@ -13,11 +13,19 @@ Vertices are addressed throughout the package by a canonical index
 
 so index 0 is the corner ``(-n, -n)`` and indices increase x-major.  Vertex
 subsets are plain boolean masks of length ``N = (2n+1)^2`` over canonical
-indices, and _split and _shift hold the package's index arithmetic.  Here
-and in every module, an integer argument, be it n, a vertex, a distance, a
-size, a count or a seed, raises TypeError for a non-integer (numpy integers
-pass; floats and bools do not) and ValueError out of range: _integer holds
-the rule for scalars, _vertices and _coords for arrays.
+indices, and _split and _shift hold the package's index arithmetic.
+
+Here and in every module an argument is checked by the one rule of its kind,
+which raises TypeError naming the argument for a wrong type and ValueError
+for a value out of range:
+
+- _integer: a scalar integer (n, a vertex, a distance, a size, a count, a
+  seed); numpy integers pass, floats and bools do not.
+- _real: a real parameter (the exponent r, the thresholds epsilon and eta,
+  the rates gap, pi_min and c, the fraction ball_frac); a float, numpy
+  floats included, or an integer under _integer's rule, and never NaN.
+- _integers: an integer array (vertex indices, coordinates).
+- _as_mask: a vertex set, a bool mask of shape (N,), or (..., N) for a batch.
 
 The module also provides the box partition used by the expansion analysis:
 a deterministic tiling of the grid into axis-aligned rectangles whose sides
@@ -27,6 +35,7 @@ all lie in ``[box_side, 2 * box_side]``, together with the box-core operation
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -68,23 +77,30 @@ def _integer(value, what: str, lo: int, stop: int | None = None) -> int:
     return index
 
 
-def _vertices(a, N: int, what: str) -> np.ndarray:
-    """a as an int64 array of vertex indices in [0, N); an empty a may have any dtype."""
+def _real(value, what: str, interval: str) -> float:
+    """value as a float in interval, written "[0, inf]" or "(0, 1)", by the rule in the module docstring."""
+    if isinstance(value, (float, np.floating)):
+        number = float(value)
+    else:
+        try:
+            number = float(_integer(value, what, -math.inf))
+        except TypeError:
+            raise TypeError(f"{what} must be a real number, got {value!r}") from None
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo < number if interval[0] == "(" else lo <= number
+    below = number < hi if interval[-1] == ")" else number <= hi
+    if not (above and below):  # NaN is neither
+        raise ValueError(f"{what} must lie in {interval}, got {value!r}")
+    return number
+
+
+def _integers(a, what: str, lo: int, stop: int) -> np.ndarray:
+    """a as an int64 array of integers in [lo, stop); an empty a may have any dtype."""
     a = np.asarray(a)
     if a.size and a.dtype.kind not in "iu":
         raise TypeError(f"{what} must be integers, got {a.dtype} values")
-    if a.size and not 0 <= a.min() <= a.max() < N:
-        raise ValueError(f"{what} must lie in [0, {N})")
-    return a.astype(np.int64, copy=False)
-
-
-def _coords(a, n: int) -> np.ndarray:
-    """a as an int64 array of torus coordinates, each an integer in [-n, n]."""
-    a = np.asarray(a)
-    if a.size and a.dtype.kind not in "iu":
-        raise TypeError(f"coordinates must be integers, got {a.dtype} values")
-    if np.any(np.abs(a) > n):
-        raise ValueError(f"coordinates must lie in [-{n}, {n}]")
+    if a.size and not lo <= a.min() <= a.max() < stop:
+        raise ValueError(f"{what} must lie in [{lo}, {stop})")
     return a.astype(np.int64, copy=False)
 
 
@@ -125,7 +141,7 @@ def coord_to_index(x, y, n):
         ValueError: if any coordinate lies outside [-n, n].
     """
     n = _check_n(n)
-    x, y = _coords(x, n), _coords(y, n)
+    x, y = _integers(x, "coordinates", -n, n + 1), _integers(y, "coordinates", -n, n + 1)
     idx = (x + n) * (2 * n + 1) + (y + n)
     return int(idx) if idx.ndim == 0 else idx
 
@@ -133,7 +149,7 @@ def coord_to_index(x, y, n):
 def index_to_coord(index, n):
     """Inverse of :func:`coord_to_index`; returns (x, y) scalars or arrays."""
     n = _check_n(n)
-    index = _vertices(index, (2 * n + 1) ** 2, "canonical indices")
+    index = _integers(index, "canonical indices", 0, (2 * n + 1) ** 2)
     x, y = _split(index, n)
     if index.ndim == 0:
         return int(x), int(y)
@@ -151,7 +167,7 @@ def torus_distance(u, v, n):
         Integer distance (or array of distances, broadcasting u against v).
     """
     n = _check_n(n)
-    u, v = _coords(u, n), _coords(v, n)
+    u, v = _integers(u, "coordinates", -n, n + 1), _integers(v, "coordinates", -n, n + 1)
     side = 2 * n + 1
     d = np.abs(u - v)
     d = np.minimum(d, side - d)
@@ -215,7 +231,7 @@ def ring(v, ell, n) -> np.ndarray:
         Array of shape (ring_size(ell, n), 2).
     """
     n = _check_n(n)
-    v = _coords(v, n)
+    v = _integers(v, "coordinates", -n, n + 1)
     if v.shape != (2,):
         raise ValueError(f"v must be a coordinate pair in [-{n}, {n}]^2")
     side = 2 * n + 1
@@ -236,11 +252,12 @@ def torus_neighbor_indices(n: int) -> np.ndarray:
     return out
 
 
-def _as_mask(S, n: int) -> np.ndarray:
+def _as_mask(S, n: int, batch: bool = False) -> np.ndarray:
+    """S as a bool mask of shape (N,), or of shape (..., N) when batch is set."""
     N = (2 * n + 1) ** 2
     S = np.asarray(S)
-    if S.dtype != np.bool_ or S.shape != (N,):
-        raise ValueError(f"vertex set must be a bool mask of shape ({N},)")
+    if S.dtype != np.bool_ or S.shape[-1:] != (N,) or (S.ndim > 1 and not batch):
+        raise ValueError(f"vertex set must be a bool mask of shape ({'..., ' if batch else ''}{N},)")
     return S
 
 
@@ -249,7 +266,7 @@ def mask_from_indices(indices, n) -> np.ndarray:
     n = _check_n(n)
     N = (2 * n + 1) ** 2
     mask = np.zeros(N, dtype=bool)
-    mask[_vertices(indices, N, "canonical indices")] = True
+    mask[_integers(indices, "canonical indices", 0, N)] = True
     return mask
 
 
@@ -259,10 +276,7 @@ def torus_boundary_count(S, n):
     S may be a single mask of shape (N,) or a batch of shape (..., N).
     """
     n = _check_n(n)
-    S = np.asarray(S)
-    N = (2 * n + 1) ** 2
-    if S.dtype != np.bool_ or S.shape[-1] != N:
-        raise ValueError(f"vertex sets must be bool masks with final axis {N}")
+    S = _as_mask(S, n, batch=True)
     # each cut edge once: compare every vertex with its +x and its +y neighbour on the (side, side) grid
     grid = S.reshape(*S.shape[:-1], 2 * n + 1, 2 * n + 1)
     count = sum((grid != np.roll(grid, -1, axis=axis)).sum(axis=(-2, -1)) for axis in (-2, -1))
@@ -348,14 +362,14 @@ def box_core_dichotomy(S, partition: BoxPartition, eta) -> bool:
         |torus edge boundary of S| >= eta |S| / (4 * box_side^2).
 
     Raises:
+        TypeError: if eta is not a real number.
         ValueError: if S is empty or eta is outside (0, 1).
     """
     S = _as_mask(S, partition.n)
     size = int(S.sum())
     if size == 0:
         raise ValueError("dichotomy check requires a nonempty vertex set")
-    if not 0 < eta < 1:
-        raise ValueError(f"eta must lie strictly between 0 and 1, got {eta!r}")
+    eta = _real(eta, "eta", "(0, 1)")
     core_size = int(box_core(S, partition).sum())
     if core_size >= (1 - eta) * size:
         return True

@@ -31,7 +31,7 @@ import scipy.sparse.linalg
 from .bfs import bfs_distances
 from .errors import ConvergenceError
 from .generate import SmallWorldGraph, _stream
-from .torus import _integer, _vertices
+from .torus import _integer, _integers, _real
 
 __all__ = [
     "EXACT_STARTS_MAX_VERTICES",
@@ -70,11 +70,6 @@ _EIGEN_TOL = 1e-10
 
 # Cap on ARPACK's implicit restarts.
 _MAX_RESTARTS = 30_000
-
-
-def _check_unit(value, what: str) -> None:
-    if not 0 < value <= 1:
-        raise ValueError(f"{what} must lie in (0, 1], got {value!r}")
 
 
 def stationary(graph: SmallWorldGraph) -> np.ndarray:
@@ -180,7 +175,7 @@ def _resolve_starts(graph: SmallWorldGraph, starts):
         if starts == "heuristic":
             return heuristic_start_vertices(graph), False
         raise ValueError(f"starts must be one of {_START_POLICIES} or vertex indices, got {starts!r}")
-    arr = np.unique(_vertices(starts, graph.num_vertices, "start vertices"))
+    arr = np.unique(_integers(starts, "start vertices", 0, graph.num_vertices))
     if arr.size == 0:
         raise ValueError("start vertices must not be empty")
     return arr, arr.size == graph.num_vertices
@@ -215,7 +210,8 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
         it fails, either in a full evaluation or in its tracked column.
 
     Raises:
-        TypeError: if explicit start vertices are not integers.
+        TypeError: if epsilon is not a real number or explicit start
+            vertices are not integers.
         ValueError: if epsilon lies outside (0, 1], starts is an unknown
             policy name, or explicit start vertices are empty or out of range.
         ConvergenceError: if the worst TV distance at t = _MAX_STEPS is
@@ -223,7 +219,7 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
             last_value, the evaluated (t, worst TV) curve as last_iterate
             and _MAX_STEPS as iterations.
     """
-    _check_unit(epsilon, "epsilon")
+    epsilon = _real(epsilon, "epsilon", "(0, 1]")
     start_vertices, exact = _resolve_starts(graph, starts)
     pi = stationary(graph)
     kernel_t = _kernel_transpose(graph)
@@ -319,10 +315,11 @@ def relaxation_bounds(gap, pi_min, epsilon=0.25):
     valid for reversible lazy chains.
 
     Raises:
+        TypeError: if gap, pi_min or epsilon is not a real number.
         ValueError: if gap, pi_min or epsilon lies outside (0, 1].
     """
-    for value, what in ((gap, "gap"), (pi_min, "pi_min"), (epsilon, "epsilon")):
-        _check_unit(value, what)
+    gap, pi_min, epsilon = (_real(value, what, "(0, 1]") for value, what in
+                            ((gap, "gap"), (pi_min, "pi_min"), (epsilon, "epsilon")))
     t_rel = 1.0 / gap
     return (t_rel - 1.0) * math.log(1.0 / (2.0 * epsilon)), t_rel * math.log(1.0 / (epsilon * pi_min))
 

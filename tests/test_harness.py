@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -312,6 +313,12 @@ def test_record_columns_are_typed_by_name(tmp_path):
         emit([rec], fmt, path, cfg)
         assert load_records(path)[0] == [rec]
     assert "5,1,1,4\n" in (tmp_path / "rec.csv").read_text()
+    # an integer column refuses a real it would truncate
+    with pytest.raises(ValueError, match="column n must hold an integer, got 2.5"):
+        ExperimentRecord(experiment="mix", n=2.5, r=2.0, seed=7, num_vertices=49, edge_count=98,
+                         normalizer=0.5, version=__version__, values={})
+    with pytest.raises(ValueError, match="column t_mix"):
+        dataclasses.replace(rec, values={"t_mix": np.float64(3.7)})
 
 
 def test_load_records_errors(tmp_path):
@@ -332,6 +339,10 @@ def test_load_records_errors(tmp_path):
         ("json", '[{"manifest": {"seed_base": 2.5}}]', "seed_base"),
         ("json", '[{"manifest": {"seed_base": true}}]', "seed_base"),
         ("json", '[{"manifest": {"seed_base": -1}}]', "seed_base"),
+        ("json", json.dumps([{**row, "n": 3.9}, {"manifest": {"seed_base": 0}}]), "column n must hold an integer"),
+        ("json", json.dumps([{**row, "n": 3, "t_mix": 3.7}, {"manifest": {"seed_base": 0}}]), "column t_mix"),
+        ("json", json.dumps([{**row, "n": 3, "t_mix": math.inf}, {"manifest": {"seed_base": 0}}]), "column t_mix"),
+        ("csv", f"n,t_mix,{header}\n3,3.7,{cells}\n" + manifest, "column t_mix"),
         ("json", '[{"manifest": {"seed_base": 18446744073709551616}}]', "seed_base"),
         ("csv", f"{header}\n{cells}\n# manifest seed_base=abc version=y\n", "seed_base"),
         ("csv", f"{header}\n{cells}\n# manifest seed_base=2.5 version=y\n", "seed_base"),

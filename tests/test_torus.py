@@ -17,15 +17,21 @@ from support import NON_INTEGERS
 from swmix import harness, torus
 from swmix import (
     BoxPartition,
+    ModelParams,
+    SweepConfig,
     box_core,
     box_core_dichotomy,
     coord_to_index,
+    derive_seed,
     edge_boundary,
     index_to_coord,
+    is_expanding,
     long_range_normalizer,
     make_box_partition,
     mask_from_indices,
+    mixing_time,
     num_vertices,
+    relaxation_bounds,
     ring,
     ring_offsets,
     ring_size,
@@ -231,6 +237,7 @@ def test_index_rules_have_one_home():
     type_checks = [(module.__name__, func, classes)
                    for module in modules for func, (_, classes) in _calls_named(module, "isinstance")]
     assert [(name, func) for name, func, classes in type_checks if "bool" in classes] == [("swmix.torus", "_integer")]
+    assert [(name, func) for name, func, classes in type_checks if "floating" in classes] == [("swmix.torus", "_real")]
     assert [check for check in type_checks if "integer" in check[2]] == []
     for module in modules:
         if module is torus:
@@ -240,6 +247,57 @@ def test_index_rules_have_one_home():
             # a pair key lo * N + hi splits by the vertex count; the router splits scalars in its hot loop
             by_vertex_count = divisor == "N" or divisor.startswith("num_vertices(")
             assert by_vertex_count or (module is harness and func == "greedy_route"), (module.__name__, func)
+
+
+BELOW_ZERO, ABOVE_ONE = float(np.nextafter(0.0, -1.0)), float(np.nextafter(1.0, 2.0))
+MIX = dict(experiment="mix", n_values=(3,), r_values=(1.0,), num_seeds=1)
+
+# name in the error, call with the parameter set to x, values just outside its range, and values
+# accepted: its closed ends, or an inner value where both ends are open
+REAL_PARAMETERS = {
+    "ModelParams.r": ("r", lambda x: ModelParams(n=2, r=x, seed=0), [BELOW_ZERO], [0, math.inf]),
+    "derive_seed.r": ("r", lambda x: derive_seed(0, 2, x, 0), [BELOW_ZERO], [0, math.inf]),
+    "SweepConfig.r_values": ("r_values entry", lambda x: SweepConfig(**{**MIX, "r_values": (x,)}), [BELOW_ZERO], [0]),
+    "long_range_normalizer.r": ("r", lambda x: long_range_normalizer(2, x), [BELOW_ZERO], [0, math.inf]),
+    "mixing_time.epsilon": ("epsilon", lambda x: mixing_time(torus_only_graph(2), epsilon=x), [0, ABOVE_ONE], [1]),
+    "relaxation_bounds.epsilon": ("epsilon", lambda x: relaxation_bounds(0.5, 0.5, x), [0, ABOVE_ONE], [1]),
+    "relaxation_bounds.gap": ("gap", lambda x: relaxation_bounds(x, 0.5), [0, ABOVE_ONE], [1]),
+    "relaxation_bounds.pi_min": ("pi_min", lambda x: relaxation_bounds(0.5, x), [0, ABOVE_ONE], [1]),
+    "is_expanding.epsilon": (
+        "epsilon", lambda x: is_expanding(torus_only_graph(2), mask_from_indices([0], 2), x, 1), [0, 1], [0.5]),
+    "is_expanding.c": (
+        "c", lambda x: is_expanding(torus_only_graph(2), mask_from_indices([0], 2), 0.5, x), [0], [math.inf]),
+    "box_core_dichotomy.eta": (
+        "eta", lambda x: box_core_dichotomy(mask_from_indices([0], 2), make_box_partition(2, 1), x), [0, 1], [0.5]),
+    "SweepConfig.ball_frac": (
+        "ball_frac", lambda x: SweepConfig(**{**MIX, "experiment": "conductance", "ball_frac": x}), [0, 1], [0.5]),
+}
+
+
+@pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+def test_real_parameters_have_one_rule(parameter):
+    what, call, outside, accepted = REAL_PARAMETERS[parameter]
+    for bad in (True, np.True_, "0.5", None):
+        with pytest.raises(TypeError, match=f"^{what} must be a real number"):
+            call(bad)
+    for bad in [math.nan] + outside:
+        with pytest.raises(ValueError, match=f"^{what} must lie in"):
+            call(bad)
+    for good in accepted:
+        call(good)
+        call(np.float64(good))
+
+
+def test_vertex_set_masks_have_one_rule():
+    n = 2
+    S = np.zeros(num_vertices(n), dtype=bool)
+    for bad in (np.True_, True, S[None, :], S[:-1], S.astype(int)):
+        with pytest.raises(ValueError, match="bool mask"):
+            box_core(bad, make_box_partition(n, 1))
+    for bad in (np.True_, S[:-1], S.astype(int)):
+        with pytest.raises(ValueError, match="bool mask"):
+            torus_boundary_count(bad, n)
+    assert torus_boundary_count(S[None, :], n).tolist() == [0]
 
 
 def test_single_vertex_boundary():
