@@ -19,9 +19,7 @@ O(|S| log |S|) despite quantifying over exponentially many subsets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -152,8 +150,8 @@ def is_expanding(graph: SmallWorldGraph, S, epsilon, c) -> ExpansionVerdict:
     |boundary(S) cap boundary(S')| >= c |S'|.  The boundary intersection for
     fixed |S'| = m is minimized by the m vertices of S with the fewest edges
     leaving S, so prefix sums of the sorted per-vertex counts decide every m
-    at once.  The subset-size floor is ceil((1 - epsilon) |S|) computed in
-    exact rational arithmetic.
+    at once.  The subset-size floor is ceil((1 - epsilon) |S|), computed in
+    exact integers from the float epsilon's ratio num / den.
 
     Raises:
         TypeError: if epsilon or c is not a real number.
@@ -168,8 +166,9 @@ def is_expanding(graph: SmallWorldGraph, S, epsilon, c) -> ExpansionVerdict:
     per_vertex = np.bincount(heads, minlength=graph.num_vertices)[S]
     per_vertex.sort()
     prefix = np.cumsum(per_vertex)
-    m_floor = int(math.ceil((1 - Fraction(epsilon)) * size))
-    m_floor = max(m_floor, 1)
+    # ceil((den - num) size / den) by floor division of the negated numerator
+    num, den = epsilon.as_integer_ratio()
+    m_floor = max(-((num - den) * size // den), 1)
     sizes = np.arange(m_floor, size + 1)
     margins = prefix[sizes - 1] - c * sizes
     worst = int(np.argmin(margins))

@@ -215,12 +215,14 @@ def edge_probability(n, r, distance) -> float:
     """Probability distance^(-r) / Z of a long-range edge at the given distance.
 
     Raises:
-        TypeError: if distance is not an integer (numpy integers are accepted).
-        ValueError: if distance is outside [2, 2n], r is not finite, or Z
-            underflows to zero.
+        TypeError: if n or distance is not an integer (numpy integers are
+            accepted) or r is not a real number.
+        ValueError: if n < 1, r < 0, distance is outside [2, 2n], r is not
+            finite, or Z underflows to zero.
     """
+    z = _sampling_normalizer(n, r)  # checks n and r before either is used
     distance = _integer(distance, "long-range distance", 2, 2 * n + 1)
-    return float(distance) ** -float(r) / _sampling_normalizer(n, r)
+    return float(distance) ** -float(r) / z
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,8 @@ for a value out of range:
   seed); numpy integers pass, floats and bools do not.
 - _real: a real parameter (the exponent r, the thresholds epsilon and eta,
   the rates gap, pi_min and c, the fraction ball_frac); a float, numpy
-  floats included, or an integer under _integer's rule, and never NaN.
+  floats included, or an integer under _integer's rule, and never NaN
+  (an integer too large for a float is out of range).
 - _integers: an integer array (vertex indices, coordinates).
 - _as_mask: a vertex set, a bool mask of shape (N,), or (..., N) for a batch.
 
@@ -86,6 +87,8 @@ def _real(value, what: str, interval: str) -> float:
             number = float(_integer(value, what, -math.inf))
         except TypeError:
             raise TypeError(f"{what} must be a real number, got {value!r}") from None
+        except OverflowError:
+            raise ValueError(f"{what} must lie in {interval}, got an integer too large for a float") from None
     lo, hi = (float(end) for end in interval[1:-1].split(","))
     above = lo < number if interval[0] == "(" else lo <= number
     below = number < hi if interval[-1] == ")" else number <= hi

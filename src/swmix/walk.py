@@ -11,6 +11,9 @@ The search evolves the start distributions one kernel product at a time, to
 exactly t_mix.  After each product it checks only the column that was worst
 at the last full evaluation, since the start set cannot pass while that
 column fails, and evaluates the full worst distance only when it passes.
+It holds the N x k block of start distributions and one working block of
+the same size, a kernel product's output or a full evaluation's deviations,
+and nothing larger.
 The spectral gap comes from one Lanczos solve on the symmetrized kernel.
 
 With ``starts="all"`` the estimate is exact.  Above EXACT_STARTS_MAX_VERTICES
@@ -229,7 +232,10 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
     Y[start_vertices, np.arange(start_vertices.size)] = 1.0
 
     def worst_column(M):
-        col_tv = np.abs(M - pi[:, None]).sum(axis=0)
+        # one deviation block, made absolute in place, so that no more than
+        # two N x k blocks are alive at once: M and this, or M and a product
+        dev = M - pi[:, None]
+        col_tv = np.abs(dev, out=dev).sum(axis=0)
         c = int(col_tv.argmax())
         return c, 0.5 * float(col_tv[c])
 

@@ -1,10 +1,15 @@
 """Pilot calibration run backing the trend and band tests.
 
-Regenerate with:  python3 tests/data/run_pilot.py
+Regenerate with:  PYTHONPATH=src python3 tests/data/run_pilot.py
 
 Writes pilot_calibration.json next to this file.  The pilot runs on seed
 base 1000 while the test suites run on seed base 0, so every threshold is
-calibrated out of sample.  Thresholds derived here:
+calibrated out of sample.  A rerun may add keys to the file but not change
+the value of a key it already holds, since tests have frozen constants from
+those values: if any would change, the script names the keys, exits
+non-zero and leaves the file as it was.  To regenerate every value on
+purpose, delete the file first.  runtime_seconds, the time the run took, is
+the one key a rerun rewrites.  Thresholds derived here:
 
   - mixing and diameter band centres (documentation; the tests assert the
     self-contained max/min <= 2 spread),
@@ -13,7 +18,9 @@ calibrated out of sample.  Thresholds derived here:
   - the vertex-expansion floor (0.8 times the pilot 5th percentile),
   - the internal-degree statistic m_hat caps,
   - the connected-set degree-sum fit constant (pilot max times 1.5),
-  - greedy-routing growth thresholds for the r=0 / r=2 contrast.
+  - greedy-routing growth thresholds for the r=0 / r=2 contrast,
+  - the growth cut of the regime-order criteria, from median t_mix and
+    median relaxation time 1/gap at r = 1 and 2.
 """
 
 import json
@@ -43,11 +50,27 @@ SEED_BASE = 1000
 OUT = Path(__file__).parent / "pilot_calibration.json"
 
 
-def medians(records, key, scale):
+def medians(records, value):
+    """Median of value(record) by n."""
     by_n = {}
     for rec in records:
-        by_n.setdefault(rec.n, []).append(rec.values[key] / scale(rec.n))
+        by_n.setdefault(rec.n, []).append(value(rec))
     return {str(n): float(np.median(v)) for n, v in sorted(by_n.items())}
+
+
+def per_ln_n(key):
+    """The record column key divided by ln N."""
+    return lambda rec: rec.values[key] / math.log(num_vertices(rec.n))
+
+
+def relaxation_time(rec):
+    """t_rel = 1 / gap."""
+    return 1.0 / rec.values["gap"]
+
+
+def changed_keys(old, new):
+    """Keys of old, but runtime_seconds, whose value new drops or changes."""
+    return [key for key in sorted(old) if key != "runtime_seconds" and new.get(key) != old[key]]
 
 
 def main():
@@ -59,21 +82,24 @@ def main():
         SweepConfig(experiment="mix", n_values=[8, 12, 16, 24, 32], r_values=[1.0],
                     num_seeds=10, seed_base=SEED_BASE)
     )
-    out["mix_r1_tmix_over_lnN"] = medians(mix1, "t_mix", lambda n: math.log(num_vertices(n)))
+    out["mix_r1_tmix_over_lnN"] = medians(mix1, per_ln_n("t_mix"))
+    out["mix_r1_trel"] = medians(mix1, relaxation_time)
     print("mix r=1 done", flush=True)
 
     mix4 = run_sweep(
         SweepConfig(experiment="mix", n_values=[8, 16, 32], r_values=[4.0],
                     num_seeds=10, seed_base=SEED_BASE)
     )
-    out["mix_r4_tmix"] = medians(mix4, "t_mix", lambda n: 1)
+    out["mix_r4_tmix"] = medians(mix4, lambda rec: rec.values["t_mix"])
+    out["mix_r4_trel"] = medians(mix4, relaxation_time)
     print("mix r=4 done", flush=True)
 
     mix2 = run_sweep(
         SweepConfig(experiment="mix", n_values=[8, 16, 32], r_values=[2.0],
                     num_seeds=10, seed_base=SEED_BASE)
     )
-    out["mix_r2_tmix"] = medians(mix2, "t_mix", lambda n: 1)
+    out["mix_r2_tmix"] = medians(mix2, lambda rec: rec.values["t_mix"])
+    out["mix_r2_trel"] = medians(mix2, relaxation_time)
     print("mix r=2 done", flush=True)
 
     # exact diameters for the r=1 regime band
@@ -81,7 +107,7 @@ def main():
         SweepConfig(experiment="diameter", n_values=[20, 40, 80], r_values=[1.0],
                     num_seeds=10, seed_base=SEED_BASE)
     )
-    out["diam_r1_over_lnN"] = medians(diam, "diameter", lambda n: math.log(num_vertices(n)))
+    out["diam_r1_over_lnN"] = medians(diam, per_ln_n("diameter"))
     print("diameters done", flush=True)
 
     # ball boundary and conductance scaling
@@ -176,6 +202,12 @@ def main():
     out["sweep_min_beats_ball_rate"] = float(np.mean(wins))
 
     out["runtime_seconds"] = round(time.time() - t0, 1)
+    out = json.loads(json.dumps(out))  # compare as the file stores it: string keys, floats by repr
+    if OUT.exists():
+        changed = changed_keys(json.loads(OUT.read_text(encoding="utf-8")), out)
+        if changed:
+            sys.exit(f"{OUT.name} not written: this run changes the value of {', '.join(changed)}; "
+                     f"delete the file first to regenerate every value")
     with open(OUT, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

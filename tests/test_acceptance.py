@@ -81,10 +81,16 @@ def diameter_records():
 
 
 def _medians_by_n(records, key):
+    """Median by n of a record column, or of key(record) for a callable key."""
     byn = {}
     for rec in records:
-        byn.setdefault(rec.n, []).append(rec.values[key])
+        byn.setdefault(rec.n, []).append(key(rec) if callable(key) else rec.values[key])
     return {n: statistics.median(vals) for n, vals in sorted(byn.items())}
+
+
+def _relaxation_time(rec):
+    """The relaxation time t_rel = 1 / gap of a mix record."""
+    return 1.0 / rec.values["gap"]
 
 
 def test_c01_normalizer_matches_bruteforce(capsys):
@@ -339,11 +345,13 @@ def test_c12_box_set_count_bound(capsys):
     records = run_sweep(cfg)
     ok = True
     parts = []
+    # no graph can have more connected q-box sets than the C(Q, q) q-subsets of its Q boxes
+    num_boxes = records[0].values["num_boxes"]
     for q in (1, 2, 3):
         mean_wq = statistics.fmean(rec.values[f"w_{q}"] for rec in records)
         bound = 36.0 * 160.0**q
         ok &= mean_wq <= bound
-        parts.append(f"q={q}: mean {mean_wq:.1f} <= {bound:g}")
+        parts.append(f"q={q}: mean {mean_wq:.1f} <= {bound:g} (C({num_boxes}, {q}) = {math.comb(num_boxes, q)})")
     _report(capsys, 12, ok, "connected box-set count bound E[W_q] <= n^2 (40 l^2)^q over 100 seeds: " + "; ".join(parts))
 
 
@@ -380,7 +388,7 @@ def test_c14_diameter_band(capsys, diameter_records):
 
 
 def _growth_per_ln(med):
-    """(t_mix / ln N at n = 32) / (t_mix / ln N at n = 8), from medians by n."""
+    """(t / ln N at n = 32) / (t / ln N at n = 8), from medians of a time t by n."""
     return (med[32] / math.log(num_vertices(32))) / (med[8] / math.log(num_vertices(8)))
 
 
@@ -405,3 +413,28 @@ def test_c15_critical_regime_order(capsys, mix_r1_records, mix_r2_records, mix_r
             f"t_mix/ln N growth n=8->32: r=2 {g2:.2f} > {cut:.2f}, r=1 {g1:.2f} within 1/{cut:.2f}..{cut:.2f}; "
             f"per-doubling t_mix growth r=2 ({', '.join(f'{q:.2f}' for q in steps[2])}) below "
             f"r=4 ({', '.join(f'{q:.2f}' for q in steps[4])}); median t_mix r=1 < r=2 < r=4 ({order})")
+
+
+def test_c16_relaxation_regime_order(capsys, mix_r1_records, mix_r2_records, mix_r4_records):
+    # C15's checks on the relaxation time t_rel = 1 / gap.  t_rel is exact to
+    # the eigen tolerance at every n, while t_mix is a heuristic lower
+    # estimate once N > 400 (n >= 10).  The cut is frozen from the pilot
+    # (seed base 1000): the geometric midpoint of its r = 1 and r = 2 growth
+    # of median t_rel / ln N from n = 8 to 32 (0.90 and 1.39), so 1.12.
+    # t_rel / ln N falls at r = 1, so that side is one-sided.
+    cal = support.load_calibration()
+    pilot = {r: {int(n): t for n, t in cal[f"mix_r{r}_trel"].items()} for r in (1, 2)}
+    cut = math.sqrt(_growth_per_ln(pilot[1]) * _growth_per_ln(pilot[2]))
+    med = {r: _medians_by_n(recs, _relaxation_time) for r, recs in
+           ((1, mix_r1_records), (2, mix_r2_records), (4, mix_r4_records))}
+    g1, g2 = _growth_per_ln(med[1]), _growth_per_ln(med[2])
+    grows = g2 > cut and g1 < cut
+    # t_rel growth per doubling of n, at each doubling
+    steps = {r: [med[r][2 * n] / med[r][n] for n in (8, 16)] for r in (2, 4)}
+    slower = all(a < b for a, b in zip(steps[2], steps[4]))
+    ordered = all(med[1][n] < med[2][n] < med[4][n] for n in (8, 16, 32))
+    order = "; ".join(f"n={n}: {med[1][n]:.2f} < {med[2][n]:.2f} < {med[4][n]:.2f}" for n in (8, 16, 32))
+    _report(capsys, 16, grows and slower and ordered,
+            f"t_rel/ln N growth n=8->32: r=2 {g2:.2f} > {cut:.2f}, r=1 {g1:.2f} < {cut:.2f}; "
+            f"per-doubling t_rel growth r=2 ({', '.join(f'{q:.2f}' for q in steps[2])}) below "
+            f"r=4 ({', '.join(f'{q:.2f}' for q in steps[4])}); median t_rel r=1 < r=2 < r=4 ({order})")

@@ -121,6 +121,17 @@ def test_edge_probability_domain():
     assert edge_probability(3, 2.0, np.int64(2)) == edge_probability(3, 2.0, 2)
 
 
+def test_edge_probability_checks_n_and_r_before_using_them():
+    # n bounds the distance range, so it is checked before the distance is
+    for bad_n in ("3", 3.0, None):
+        with pytest.raises(TypeError, match="^torus parameter n must be an integer"):
+            edge_probability(bad_n, 1.0, 2)
+    with pytest.raises(ValueError, match="^torus parameter n 0 out of range"):
+        edge_probability(0, 1.0, 2)
+    with pytest.raises(TypeError, match="^r must be a real number"):
+        edge_probability(3, "1.0", 2)
+
+
 def test_sampler_is_deterministic():
     params = ModelParams(n=7, r=1.5, seed=123)
     g1 = sample_graph(params)

@@ -696,6 +696,15 @@ def test_cli_module_entry():
     assert __version__ in proc.stdout
 
 
+def test_cli_import_leaves_out_unused_stdlib_modules():
+    # numpy and scipy load none of these, and the package needs none: its
+    # median comes from numpy and its rational ceiling from integer arithmetic
+    script = "import sys, swmix.cli; print(sorted({'statistics', 'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_package_all_is_built_from_submodules():
     assert len(swmix.__all__) == len(set(swmix.__all__))
     for module in (swmix.errors, swmix.torus, swmix.generate, swmix.bfs, swmix.walk, swmix.expansion, swmix.harness):

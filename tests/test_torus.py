@@ -280,7 +280,8 @@ def test_real_parameters_have_one_rule(parameter):
     for bad in (True, np.True_, "0.5", None):
         with pytest.raises(TypeError, match=f"^{what} must be a real number"):
             call(bad)
-    for bad in [math.nan] + outside:
+    # an integer too large for a float lies outside every range a float can state
+    for bad in [math.nan, 10**400, -(10**400)] + outside:
         with pytest.raises(ValueError, match=f"^{what} must lie in"):
             call(bad)
     for good in accepted:

@@ -1,6 +1,7 @@
 """Lazy random walk: stationary law, TV decay, mixing time, spectral gap."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -282,6 +283,25 @@ def test_mixing_search_cost(monkeypatch):
     assert isinstance(err, ConvergenceError)
     assert products == 30
     assert len(err.last_iterate) <= 1 + check_search(g, err.last_iterate, 0.25, np.arange(g.num_vertices))[0]
+
+
+def test_mixing_search_holds_two_blocks():
+    # n = 8 runs exact starts, so the evolved block Y is N x k with k = N = 289
+    # (653 KiB).  The search may hold Y and one working block, a kernel
+    # product's output or a full evaluation's deviations, but no third
+    for r in (1.0, 2.0, 4.0):
+        g = sample_graph(ModelParams(n=8, r=r, seed=derive_seed(0, 8, r, 0)))
+        mixing_time(g, starts="all")  # graph caches and first-call set-up stay out of the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            est = mixing_time(g, starts="all")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        block = g.num_vertices * est.start_vertices.size * 8
+        assert est.start_vertices.size == g.num_vertices == 289
+        assert peak < 2.5 * block, (r, peak, block)
 
 
 def test_mixing_time_threshold_is_tight():
