@@ -5,7 +5,9 @@ the graph's cached degree-ordered layout, `SmallWorldGraph.neighbour_slots`,
 so each level costs O(|E|) whatever the frontier's size.  The frontier holds
 one bool per vertex for `bfs_distances`, or one bit per source in uint64
 words for `eccentricities`; the settled-vertex propagation of the exact
-diameter gathers through the same slots.
+diameter gathers through the same slots.  A batch of W words per vertex
+holds four N x W blocks at a time: the frontier, the unseen mask, a level's
+gather output and one gather temporary.
 
 The exact diameter combines the iFUB fringe order (Crescenzi et al., TCS
 2013) with the eccentricity bounding rule of Takes & Kosters (2011): a double
@@ -69,21 +71,24 @@ def _gather(values, columns, combine):
 
 
 def _levels(graph, front):
-    """Yield (level, new) per BFS level from a rank-space frontier, until a level reaches nothing.
+    """Yield (level, front) per BFS level from a rank-space frontier, until a level reaches nothing.
 
     front holds one bool per vertex rank, or uint64 words with one bit per
-    source; new, of the same shape, marks what the level reaches first.
+    source; each yielded front, of the same shape, marks what its level
+    reaches first.  A level holds four blocks of front's shape: the previous
+    frontier, the unseen mask, the gather output and one gather temporary.
+    The previous frontier is freed once the caller drops it, so a caller
+    that keeps the seed holds a fifth.
     """
     columns = graph.neighbour_slots[2]
     unseen = ~front
     for level in count(1):
-        new = _gather(front, columns, np.bitwise_or)
-        new &= unseen
-        if not new.any():
+        front = _gather(front, columns, np.bitwise_or)
+        front &= unseen
+        if not front.any():
             return
-        yield level, new
-        unseen ^= new
-        front = new
+        unseen ^= front
+        yield level, front
 
 
 def eccentricities(graph, sources) -> np.ndarray:
@@ -93,23 +98,30 @@ def eccentricities(graph, sources) -> np.ndarray:
     to a uint64 word (the bit-parallel BFS of Akiba, Iwata & Yoshida, 2013).
     Each level ORs every vertex's neighbours' frontier words, masks off the
     bits already seen, and records the level as the eccentricity of every
-    source whose bit reached a new vertex.  Sources that are not
-    one-dimensional raise ValueError.
+    source whose bit reached a new vertex.  A batch of W = ceil(sources / 64)
+    words per vertex holds four N x W blocks at a time (see `_levels`).
+    Sources that are not one-dimensional raise ValueError.
     """
     src = _integers(sources, "sources", 0, graph.num_vertices)
     if src.ndim != 1:
         raise ValueError(f"sources must be one-dimensional, got shape {src.shape}")
     out = np.zeros(src.size, dtype=np.int64)
     _, rank, _ = graph.neighbour_slots
+    head = graph.num_vertices // 16 * 16
     for lo in range(0, src.size, _ECC_BATCH):
         block = rank[src[lo : lo + _ECC_BATCH]]
         bit = np.arange(block.size)
-        front = np.zeros((graph.num_vertices, -(-block.size // 64)), dtype=np.uint64)
+        words = -(-block.size // 64)
+        front = np.zeros((graph.num_vertices, words), dtype=np.uint64)
         # .at, because duplicated sources share a (vertex, word) cell
         np.bitwise_or.at(front, (block, bit >> 6), np.uint64(1) << (bit & 63).astype(np.uint64))
-        for level, new in _levels(graph, front):
-            # reducing contiguous rows is several times faster than strided columns
-            grew = np.bitwise_or.reduce(np.ascontiguousarray(new.T), axis=1)
+        # rebinding front drops this scope's reference to the seed at the first level
+        for level, front in _levels(graph, front):
+            # OR the words over the vertices through a (N // 16, 16 W) view of the
+            # frontier: long contiguous rows reduce several times faster than (N, W)
+            # rows, and unlike a transposed copy the view allocates nothing N-sized
+            grew = np.bitwise_or.reduce(front[:head].reshape(-1, 16 * words), axis=0).reshape(16, words)
+            grew = np.bitwise_or.reduce(grew, axis=0) | np.bitwise_or.reduce(front[head:], axis=0)
             hit = np.unpackbits(grew.astype("<u8", copy=False).view(np.uint8), bitorder="little")
             out[lo + np.flatnonzero(hit[: block.size])] = level
     return out
@@ -161,6 +173,7 @@ def exact_diameter(graph) -> tuple:
     half = lb // 2
     cand = np.flatnonzero((da == half) & (da + db == lb))
     m = int(cand[0]) if cand.size else a
+    del da, db, cand  # N-sized, and read no further
     dm = bfs_distances(graph, m)
     ecc_m = int(dm.max())
     lb = max(lb, ecc_m)

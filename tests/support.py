@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,18 @@ NON_INTEGERS = (True, 2.5, np.float64(3.0))
 def load_calibration() -> dict:
     with open(CALIBRATION_PATH, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def traced(call):
+    """(call(), held, peak): what call leaves allocated and its peak, in bytes above the traced memory at the start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        held, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def random_connected_set(graph, rng, size):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from support import NON_INTEGERS
+from support import NON_INTEGERS, traced
 from swmix import (
     ModelParams,
     SmallWorldGraph,
@@ -24,6 +24,7 @@ from swmix import (
 )
 from swmix import bfs
 from swmix.bfs import _settled, eccentricities
+from swmix.harness import derive_seed
 
 
 def nx_graph(graph):
@@ -114,6 +115,17 @@ def test_exact_diameter_prunes_sources(seed, monkeypatch):
     monkeypatch.setattr(bfs, "eccentricities", counting)
     assert exact_diameter(g)[0] == expect
     assert sum(counted) <= 0.4 * g.num_vertices
+
+
+@pytest.mark.parametrize("replicate", [0, 1])
+def test_exact_diameter_holds_four_frontier_blocks(replicate):
+    # n = 48 has N = 9409 vertices, so a 256-source (N, 4) uint64 block takes
+    # 294 KiB.  A BFS level may hold its frontier, the unseen mask, the gather
+    # output and one gather temporary (1.15 MiB together), but no fifth block
+    g = sample_graph(ModelParams(n=48, r=1.0, seed=derive_seed(0, 48, 1.0, replicate)))
+    g.neighbour_slots  # the cached layout stays out of the trace
+    peak = traced(lambda: exact_diameter(g))[2]
+    assert peak < 1.6 * 2**20, (replicate, peak)
 
 
 # (diameter, batch sizes, sha256 of the JSON list of batches) that exact_diameter

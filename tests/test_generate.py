@@ -5,14 +5,13 @@ import importlib.util
 import json
 import math
 import re
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from support import NON_INTEGERS
+from support import NON_INTEGERS, traced
 from swmix import (
     CapacityError,
     GraphFormatError,
@@ -493,19 +492,11 @@ def test_sampled_graph_holds_only_its_long_range_rows():
     # n = 128 has N = 66,049 vertices and about N / 2 long-range pairs: the
     # rows take 1.0 MiB, and one round's draws at most a few arrays of 1.2 k keys
     sample_graph(ModelParams(n=4, r=1.0, seed=0))  # imports and first-call set-up stay out of the trace
-    tracemalloc.start()
-    try:
-        for seed in (0, 1):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            g = sample_graph(ModelParams(n=128, r=1.0, seed=seed))
-            held, peak = (m - base for m in tracemalloc.get_traced_memory())
-            assert peak < 3.0 * 2**20, (seed, peak)
-            assert held <= 1.1 * 2**20, (seed, held)
-            assert set(vars(g)) == {"params", "num_vertices", "edge_count", "long_range_rows", "normalizer"}
-            del g
-    finally:
-        tracemalloc.stop()
+    for seed in (0, 1):
+        g, held, peak = traced(lambda: sample_graph(ModelParams(n=128, r=1.0, seed=seed)))
+        assert peak < 3.0 * 2**20, (seed, peak)
+        assert held <= 1.1 * 2**20, (seed, held)
+        assert set(vars(g)) == {"params", "num_vertices", "edge_count", "long_range_rows", "normalizer"}
 
 
 def _digest_script():

@@ -6,14 +6,13 @@ import inspect
 import itertools
 import math
 import pkgutil
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 import swmix
-from support import NON_INTEGERS
+from support import NON_INTEGERS, traced
 from swmix import harness, torus
 from swmix import (
     BoxPartition,
@@ -183,16 +182,10 @@ def test_ring_geometry_allocates_no_vertex_table():
         (lambda: ring_offsets(5, n), oracles.ring_offsets_loop(5, n)),
         (lambda: ring_offsets(600, n), oracles.ring_offsets_loop(600, n)),
     ]
-    tracemalloc.start()
-    try:
-        for call, expect in checks:
-            tracemalloc.reset_peak()
-            got = call()
-            peak = tracemalloc.get_traced_memory()[1]
-            assert peak < 64 * 1024, peak
-            assert np.array_equal(got, expect)
-    finally:
-        tracemalloc.stop()
+    for call, expect in checks:
+        got, _, peak = traced(call)
+        assert peak < 64 * 1024, peak
+        assert np.array_equal(got, expect)
 
 
 def test_torus_neighbor_indices_of_origin():

@@ -1,14 +1,13 @@
 """Lazy random walk: stationary law, TV decay, mixing time, spectral gap."""
 
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
-from support import NON_INTEGERS
+from support import NON_INTEGERS, traced
 from swmix import (
     ConvergenceError,
     ModelParams,
@@ -292,13 +291,7 @@ def test_mixing_search_holds_two_blocks():
     for r in (1.0, 2.0, 4.0):
         g = sample_graph(ModelParams(n=8, r=r, seed=derive_seed(0, 8, r, 0)))
         mixing_time(g, starts="all")  # graph caches and first-call set-up stay out of the trace
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            est = mixing_time(g, starts="all")
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        est, _, peak = traced(lambda: mixing_time(g, starts="all"))
         block = g.num_vertices * est.start_vertices.size * 8
         assert est.start_vertices.size == g.num_vertices == 289
         assert peak < 2.5 * block, (r, peak, block)
