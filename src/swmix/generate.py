@@ -520,6 +520,11 @@ def load_graph(path) -> SmallWorldGraph:
         params = ModelParams(n=n, r=r, seed=seed)
     except ValueError as exc:
         raise GraphFormatError(str(exc), line=1) from None
+    expected_z = long_range_normalizer(n, r)  # 0.0 at r = inf, the bare-torus marker of torus_only_graph
+    if not math.isclose(z, expected_z, rel_tol=1e-9, abs_tol=0.0):
+        raise GraphFormatError(f"header Z={z!r} does not match the model normalizer {expected_z!r}", line=1)
+    if math.isinf(r) and len(lines) > 1:
+        raise GraphFormatError("the bare torus (r = inf) has no long-range edge lines", line=2)
 
     N = num_vertices(n)
     side = 2 * n + 1
@@ -554,10 +559,4 @@ def load_graph(path) -> SmallWorldGraph:
         raise GraphFormatError(
             f"header edge_count {edge_count} != 2N + long-range = {2 * N + len(pairs)}", line=1
         )
-    if math.isfinite(r):
-        expected_z = long_range_normalizer(n, r)
-        if not math.isclose(z, expected_z, rel_tol=1e-9, abs_tol=0.0):
-            raise GraphFormatError(
-                f"header Z={z!r} does not match the model normalizer {expected_z!r}", line=1
-            )
     return _assemble(params, _pair_keys(pairs, N), z)

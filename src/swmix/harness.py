@@ -599,8 +599,9 @@ def load_records(path):
     The format is detected from the content (a leading '[' means JSON).
 
     Raises:
-        ValueError: if the manifest is missing or lacks an integer
-            seed_base in [0, 2^64), or a row is malformed.
+        ValueError: if the manifest is missing, has a CSV token that is not
+            key=value, or lacks an integer seed_base in [0, 2^64), or a row
+            is malformed.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -614,9 +615,10 @@ def load_records(path):
         lines = [line for line in text.splitlines() if line]
         if not lines or not lines[-1].startswith("# manifest "):
             raise ValueError("missing trailing manifest line")
-        manifest = _checked_manifest(
-            dict(item.split("=", 1) for item in lines[-1][len("# manifest ") :].split()), int
-        )
+        tokens = lines[-1][len("# manifest ") :].split()
+        if not all("=" in token for token in tokens):
+            raise ValueError(f"manifest line {lines[-1]!r} has a token that is not key=value")
+        manifest = _checked_manifest(dict(token.split("=", 1) for token in tokens), int)
         columns = lines[0].split(",")
         rows = []
         for line in lines[1:-1]:

@@ -415,6 +415,9 @@ def test_load_rejects_malformed_files(tmp_path):
         ("nonint", f"{head} 51\n0 x\n", 2),
         ("triple", f"{head} 51\n0 12 3\n", 2),
         ("blank", f"{head} 51\n\n0 12\n", 2),
+        # the bare-torus marker r = inf has Z = 0 and no long-range edge
+        ("inf_z", "swg 2 inf 0 5.0 51\n0 12\n", 1),
+        ("inf_edge", "swg 2 inf 0 0.0 51\n0 12\n", 2),
     ]
     for name, text, lineno in cases:
         path = _write(tmp_path / f"{name}.swg", text)

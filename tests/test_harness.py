@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -36,9 +37,16 @@ from swmix import (
 )
 from swmix import walk
 from swmix.generate import SmallWorldGraph
-from swmix.cli import main
+from swmix.cli import build_parser, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_cli_sweep(tmp_path, out, **keys):
+    """Exit code of `swmix sweep --config FILE` on a config file of the given keys and output = out."""
+    path = tmp_path / "cell.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in {**keys, "output": out}.items()))
+    return main(["sweep", "--config", str(path)])
 
 
 def test_derive_seed_frozen_values():
@@ -174,7 +182,7 @@ def test_sweep_config_rejects_unsampleable_cells(tmp_path, monkeypatch, capsys):
     sampled = []
     monkeypatch.setattr(swmix.harness, "sample_graph", lambda params: sampled.append(params))
     out = tmp_path / "inf.csv"
-    assert main(["mix", "--n", "4", "--r", "inf", "--seeds", "1", "--out", str(out)]) == 2
+    assert run_cli_sweep(tmp_path, out, experiment="mix", n_values=4, r_values="inf", num_seeds=1) == 2
     assert "finite exponent" in capsys.readouterr().err
     assert sampled == [] and not out.exists()
 
@@ -347,6 +355,7 @@ def test_load_records_errors(tmp_path):
         ("csv", f"{header}\n{cells}\n# manifest seed_base=abc version=y\n", "seed_base"),
         ("csv", f"{header}\n{cells}\n# manifest seed_base=2.5 version=y\n", "seed_base"),
         ("csv", f"{header}\n{cells}\n# manifest seed_base=-1 version=y\n", "seed_base"),
+        ("csv", f"{header}\n{cells}\n# manifest junk config_sha256=x seed_base=0\n", "manifest line '# manifest junk"),
     ]
     for fmt, text, match in cases:
         path = tmp_path / f"bad.{fmt}"
@@ -596,6 +605,43 @@ def test_cli_requires_subcommand():
     assert info.value.code == 2
 
 
+def cli_commands():
+    (sub,) = (action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction))
+    return sorted(sub.choices)
+
+
+def test_cli_has_one_command_per_job(capsys):
+    assert cli_commands() == ["generate", "sweep"]
+    with pytest.raises(SystemExit) as info:
+        main(["mix", "--n", "3", "--r", "2.0", "--out", "x.csv"])
+    assert info.value.code == 2
+    assert "invalid choice: 'mix'" in capsys.readouterr().err
+
+
+def readme_block(heading):
+    """The first fenced code block under the README section with this heading."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split(f"\n{heading}\n", 1)[1]
+    return section.split("```", 2)[1].split("\n", 1)[1]
+
+
+def test_readme_cli_usage_names_the_parser_commands():
+    usage = [line.split() for line in readme_block("## Command-line tool").splitlines() if line.strip()]
+    assert all(words[0] == "swmix" for words in usage)
+    assert sorted(words[1] for words in usage) == cli_commands()
+
+
+def test_readme_quick_start_prints_its_comments(capsys):
+    code = readme_block("## Quick start")
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    comments = [line.split("#")[-1].strip() for line in code.splitlines() if line.startswith("print(")]
+    assert comments == ["7", "0.1773...", "0.8049..."]
+    assert printed[0] == "7"
+    # "0.1773..." stands for the printed value rounded to four decimals
+    assert [round(float(value), 4) for value in printed[1:]] == [0.1773, 0.8049]
+
+
 def test_cli_generate_round_trip(tmp_path, capsys):
     out = tmp_path / "g.txt"
     assert main(["generate", "--n", "4", "--r", "1.5", "--seed", "3", "--out", str(out)]) == 0
@@ -606,7 +652,7 @@ def test_cli_generate_round_trip(tmp_path, capsys):
 
 def test_cli_mix_writes_records(tmp_path, capsys):
     out = tmp_path / "mix.csv"
-    code = main(["mix", "--n", "3", "--r", "2.0", "--seeds", "2", "--starts", "all", "--out", str(out)])
+    code = run_cli_sweep(tmp_path, out, experiment="mix", n_values=3, r_values=2.0, num_seeds=2, starts="all")
     assert code == 0
     records, manifest = load_records(out)
     assert len(records) == 2
@@ -616,7 +662,7 @@ def test_cli_mix_writes_records(tmp_path, capsys):
 
 def test_cli_route_json(tmp_path):
     out = tmp_path / "route.json"
-    code = main(["route", "--n", "6", "--r", "2.0", "--seeds", "2", "--pairs", "20", "--out", str(out)])
+    code = run_cli_sweep(tmp_path, out, experiment="routing", n_values=6, r_values=2.0, num_seeds=2, pairs=20)
     assert code == 0
     records, _ = load_records(out)
     assert all(rec.values["delivered_count"] == 20 for rec in records)
@@ -624,9 +670,9 @@ def test_cli_route_json(tmp_path):
 
 def test_cli_conductance_no_sweep_min(tmp_path):
     out = tmp_path / "con.csv"
-    code = main([
-        "conductance", "--n", "5", "--r", "2.0", "--seeds", "1", "--no-sweep-min", "--out", str(out),
-    ])
+    code = run_cli_sweep(
+        tmp_path, out, experiment="conductance", n_values=5, r_values=2.0, num_seeds=1, include_sweep_min=False,
+    )
     assert code == 0
     records, _ = load_records(out)
     assert "phi_sweep_min" not in records[0].values
@@ -634,7 +680,7 @@ def test_cli_conductance_no_sweep_min(tmp_path):
 
 def test_cli_wq(tmp_path):
     out = tmp_path / "wq.csv"
-    code = main(["wq", "--n", "5", "--r", "2.0", "--seeds", "1", "--ell", "2", "--qmax", "1", "--out", str(out)])
+    code = run_cli_sweep(tmp_path, out, experiment="wq", n_values=5, r_values=2.0, num_seeds=1, box_side=2, q_max=1)
     assert code == 0
     records, _ = load_records(out)
     assert records[0].values["w_1"] == records[0].values["num_boxes"]
@@ -662,7 +708,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad_cfg)]) == 2
     assert "error" in capsys.readouterr().err
     out = tmp_path / "x.csv"
-    assert main(["mix", "--n", "20", "--r", "1.0", "--seeds", "1", "--starts", "all", "--out", str(out)]) == 3
+    assert run_cli_sweep(tmp_path, out, experiment="mix", n_values=20, r_values=1.0, num_seeds=1, starts="all") == 3
     assert "capacity" in capsys.readouterr().err
     missing_dir = tmp_path / "nope" / "g.txt"
     assert main(["generate", "--n", "3", "--r", "1.0", "--out", str(missing_dir)]) == 4
@@ -675,7 +721,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_convergence_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(walk, "_MAX_STEPS", 1)
     out = tmp_path / "x.csv"
-    assert main(["mix", "--n", "3", "--r", "1.0", "--seeds", "1", "--workers", "1", "--out", str(out)]) == 5
+    assert run_cli_sweep(tmp_path, out, experiment="mix", n_values=3, r_values=1.0, num_seeds=1, workers=1) == 5
     err = capsys.readouterr().err
     assert err.startswith("swmix: convergence error: ") and err.count("\n") == 1
     assert not out.exists()

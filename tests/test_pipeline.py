@@ -17,7 +17,6 @@ import pytest
 
 import swmix
 from swmix import SweepConfig, bfs, emit, expansion, harness, run_sweep
-from swmix.cli import _config_from_args, build_parser
 
 GOLDEN_CONFIGS = {
     "diameter": dict(n_values=(3, 5), r_values=(1.0, 3.0), num_seeds=2),
@@ -168,31 +167,3 @@ def test_package_exports_one_runner():
 
 def test_config_parsers_cover_every_field():
     assert set(harness._PARSERS) == {f.name for f in dataclasses.fields(SweepConfig)}
-
-
-@pytest.mark.parametrize(
-    "argv, fields",
-    [
-        (["mix", "--starts", "heuristic"], dict(experiment="mix", starts="heuristic")),
-        (["conductance", "--ball-frac", "0.5", "--no-sweep-min"],
-         dict(experiment="conductance", ball_frac=0.5, include_sweep_min=False)),
-        (["conductance"], dict(experiment="conductance", include_sweep_min=True)),
-        (["wq", "--ell", "3", "--qmax", "2"], dict(experiment="wq", box_side=3, q_max=2)),
-        (["route", "--pairs", "7"], dict(experiment="routing", pairs=7)),
-    ],
-)
-def test_cli_flags_map_to_config_fields(argv, fields):
-    common = ["--n", "6", "--r", "2.5", "--seeds", "3", "--seed-base", "4", "--workers", "2", "--out", "o.csv"]
-    args = build_parser().parse_args(argv[:1] + common + argv[1:])
-    want = SweepConfig(
-        n_values=(6,), r_values=(2.5,), num_seeds=3, seed_base=4, workers=2, output="o.csv", **fields,
-    )
-    assert _config_from_args(args) == want
-
-
-@pytest.mark.parametrize("command, experiment", [("mix", "mix"), ("conductance", "conductance"),
-                                                 ("wq", "wq"), ("route", "routing")])
-def test_cli_omitted_flags_take_sweep_config_defaults(command, experiment):
-    args = build_parser().parse_args([command, "--n", "6", "--r", "2.5", "--out", "o.csv"])
-    want = SweepConfig(experiment=experiment, n_values=(6,), r_values=(2.5,), num_seeds=10, output="o.csv")
-    assert _config_from_args(args) == want
