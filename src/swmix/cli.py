@@ -1,10 +1,11 @@
 """Command line for sampling graphs and running seeded experiments.
 
 ``generate`` samples one graph and writes it to a text file; ``sweep`` runs
-the (n, r) grid that a config file describes and writes its records, in
-JSON if the output path ends in ``.json`` and CSV otherwise.  The config
-keys and their defaults are those of :func:`swmix.harness.load_sweep_config`;
-a one-cell experiment is a config with one n and one r.
+the (n, r) grid that a config file describes and writes its records to the
+path given by ``--out``, in JSON if it ends in ``.json`` and CSV otherwise
+(:func:`swmix.harness.emit`).  The config keys and their defaults are those
+of :func:`swmix.harness.load_sweep_config`; a one-cell experiment is a
+config with one n and one r.
 
 Exit codes: 0 success, 2 usage or argument error, 3 a documented capacity
 cap was exceeded, 4 I/O error, 5 an iterative solver (the mixing search or
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     swp = sub.add_parser("sweep", help="run an (n, r) grid described by a config file")
     swp.add_argument("--config", required=True, help="flat key = value config file")
-    swp.add_argument("--out", default=None, help="override the config output path")
+    swp.add_argument("--out", required=True, help="records file: JSON if it ends in .json, CSV otherwise")
     return parser
 
 
@@ -58,13 +59,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     cfg = harness.load_sweep_config(args.config)
-    out = args.out or cfg.output
-    if not out:
-        raise ValueError("no output path: set 'output' in the config or pass --out")
     records = harness.run_sweep(cfg)
-    fmt = "json" if str(out).endswith(".json") else "csv"
-    harness.emit(records, fmt, out, cfg)
-    print(f"wrote {len(records)} records to {out}")
+    harness.emit(records, args.out, cfg)
+    print(f"wrote {len(records)} records to {args.out}")
     return EXIT_OK
 
 

@@ -196,8 +196,6 @@ def long_range_normalizer(n, r) -> float:
     last few ulps.
     """
     n, r = _check_n(n), _real(r, "r", "[0, inf]")
-    if math.isinf(r):
-        return 0.0
     dists = range(2, 2 * n + 1)
     return math.fsum(size * d**-r for d, size in zip(dists, _ring_size(np.array(dists), n).tolist()))
 

@@ -14,11 +14,11 @@ column its type (integer, real or string) by name.
 
 Cells run under a bounded thread pool (the SWMIX_WORKERS environment
 variable overrides the width) and records are sorted by (n, r, seed) before
-emission, so output files are byte-identical regardless of schedule.  CSV
-output has a header row, one row per record with reals at 17 significant
-digits, and a trailing "# manifest ..." line carrying the config hash and
-seed base; JSON output is an array of record objects whose final element is
-the manifest object.
+emission, and the manifest's config hash skips the worker count, so output
+files are byte-identical at any worker count.  A ".json" path gets an array
+of record objects whose final element is the manifest object; any other
+path gets CSV: a header row, one row per record with reals at 17 significant
+digits, and a trailing "# manifest ..." line with the config hash and seed base.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def derive_seed(base, n, r, replicate) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """One experiment grid: (n, r) values, seeding, policy knobs, output.
+    """One experiment grid: (n, r) values, seeding, policy knobs, worker count.
 
     Seeds come either from ``seeds`` (an explicit tuple shared by every grid
     cell) or from ``num_seeds`` replicates derived per cell from ``seed_base``
@@ -125,13 +125,15 @@ class SweepConfig:
     conductance experiment, ``include_sweep_min`` toggles its spectral
     sweep-cut column, ``box_side``/``q_max`` parametrize the connected
     box-set counts, ``pairs`` the routing sample, and ``random_sets`` the
-    random-set sample of the expansion experiment.
+    random-set sample of the expansion experiment.  ``workers`` sets the
+    thread count (SWMIX_WORKERS overrides it); no record depends on it.
 
     Raises:
         TypeError: for a non-integer n, seed, seed_base or count, an r or
             ball_frac that is not a real number, or an include_sweep_min that
             is not a bool.
-        ValueError: for a field out of range, an unsampleable (n, r), or a zero conductance ball radius.
+        ValueError: for a field out of range, an unsampleable (n, r), a zero conductance ball radius, or a
+            box_side of at least n + 1 in a wq or expansion grid.
         CapacityError: for starts="all" with an n over the exact-starts cap.
     """
 
@@ -141,7 +143,6 @@ class SweepConfig:
     seeds: tuple | None = None
     num_seeds: int = 0
     seed_base: int = 0
-    output: str | None = None
     starts: str = "auto"
     workers: int | None = None
     ball_frac: float = 0.9
@@ -197,6 +198,9 @@ class SweepConfig:
                     raise ValueError(
                         f"ball radius floor({self.ball_frac} * {n}) is zero; increase n or ball_frac"
                     )
+        if self.experiment in ("wq", "expansion"):
+            for n in self.n_values:
+                _integer(self.box_side, "box_side", 1, n + 1)  # make_box_partition's rule, before any cell runs
 
     def instance_seeds(self, n, r) -> tuple:
         """Seeds used for grid cell (n, r), in replicate order."""
@@ -206,7 +210,7 @@ class SweepConfig:
 
 
 def config_digest(cfg: SweepConfig) -> str:
-    """sha256 hex digest over every config field, reals in exact float hex."""
+    """sha256 hex digest over every config field but workers (no record depends on it), reals in exact float hex."""
 
     def canon(v):
         if isinstance(v, float):
@@ -215,7 +219,7 @@ def config_digest(cfg: SweepConfig) -> str:
             return "(" + ",".join(canon(x) for x in v) + ")"
         return repr(v)
 
-    parts = [f"{f.name}={canon(getattr(cfg, f.name))}" for f in dataclasses.fields(cfg)]
+    parts = [f"{f.name}={canon(getattr(cfg, f.name))}" for f in dataclasses.fields(cfg) if f.name != "workers"]
     return hashlib.sha256(";".join(parts).encode("utf-8")).hexdigest()
 
 
@@ -536,23 +540,22 @@ def run_sweep(cfg: SweepConfig) -> list:
     return _run_grid(cfg, functools.partial(_cell, cfg))
 
 
-def emit(records, fmt, path, config: SweepConfig) -> None:
+def emit(records, path, config: SweepConfig) -> None:
     """Write records plus a reproducibility manifest to path.
 
-    CSV: header row, one comma-separated row per record with reals at 17
-    significant digits, then one "# manifest key=value ..." line.  JSON: an
-    array of record objects whose last element is {"manifest": {...}}.  The
-    byte content is a pure function of (records, fmt, config).
+    A path ending in ".json" gets JSON: an array of record objects whose last
+    element is {"manifest": {...}}.  Any other path gets CSV: a header row,
+    one comma-separated row per record with reals at 17 significant digits,
+    then one "# manifest key=value ..." line.  The byte content is a pure
+    function of (records, the path's suffix, config less its workers).
 
     Raises:
-        ValueError: for empty records, mixed column sets, or an unknown
-            format; nothing is written in these cases.
+        ValueError: for empty records or mixed column sets; nothing is
+            written in these cases.
         OSError: propagated from the filesystem.
     """
     if not records:
         raise ValueError("no records to emit")
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     rows = [record.as_row() for record in records]
     columns = list(rows[0])
     if any(list(row) != columns for row in rows):
@@ -562,15 +565,15 @@ def emit(records, fmt, path, config: SweepConfig) -> None:
         "seed_base": config.seed_base,
         "version": __version__,
     }
-    if fmt == "csv":
+    if str(path).endswith(".json"):
+        text = json.dumps(rows + [{"manifest": manifest}], indent=1) + "\n"
+    else:
         lines = [",".join(columns)]
         # a record's cells are str, int or float
         lines.extend(",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row.values())
                      for row in rows)
         lines.append("# manifest " + " ".join(f"{k}={v}" for k, v in manifest.items()))
         text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(rows + [{"manifest": manifest}], indent=1) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
@@ -650,7 +653,6 @@ _PARSERS = {
     "seeds": _list_of(int),
     "num_seeds": int,
     "seed_base": int,
-    "output": str,
     "starts": str,
     "workers": int,
     "ball_frac": float,

@@ -24,7 +24,7 @@ for a value out of range:
 - _real: a real parameter (the exponent r, the thresholds epsilon and eta,
   the rates gap, pi_min and c, the fraction ball_frac); a float, numpy
   floats included, or an integer under _integer's rule, and never NaN
-  (an integer too large for a float is out of range).
+  (an integer too large for a float is out of range); -0.0 becomes 0.0.
 - _integers: an integer array (vertex indices, coordinates).
 - _as_mask: a vertex set, a bool mask of shape (N,), or (..., N) for a batch.
 
@@ -94,7 +94,7 @@ def _real(value, what: str, interval: str) -> float:
     below = number < hi if interval[-1] == ")" else number <= hi
     if not (above and below):  # NaN is neither
         raise ValueError(f"{what} must lie in {interval}, got {value!r}")
-    return number
+    return number + 0.0  # -0.0 + 0.0 is 0.0: one zero, so one seed and one record per cell
 
 
 def _integers(a, what: str, lo: int, stop: int) -> np.ndarray:

@@ -43,10 +43,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli_sweep(tmp_path, out, **keys):
-    """Exit code of `swmix sweep --config FILE` on a config file of the given keys and output = out."""
+    """Exit code of `swmix sweep --config FILE --out out` on a config file of the given keys."""
     path = tmp_path / "cell.cfg"
-    path.write_text("".join(f"{key} = {value}\n" for key, value in {**keys, "output": out}.items()))
-    return main(["sweep", "--config", str(path)])
+    path.write_text("".join(f"{key} = {value}\n" for key, value in keys.items()))
+    return main(["sweep", "--config", str(path), "--out", str(out)])
 
 
 def test_derive_seed_frozen_values():
@@ -122,6 +122,11 @@ def test_sweep_config_validation():
         SweepConfig(**{**good, "ball_frac": 1.0})
     with pytest.raises(ValueError):
         SweepConfig(**{**good, "pairs": 0})
+    # make_box_partition's rule for every n, so the n = 1 cell cannot fail after the n = 4 cell ran
+    for experiment in ("wq", "expansion"):
+        with pytest.raises(ValueError, match=r"box_side 2 out of range \[1, 2\)"):
+            SweepConfig(**{**good, "experiment": experiment, "n_values": (4, 1), "box_side": 2})
+    SweepConfig(**{**good, "n_values": (4, 1), "box_side": 2})  # mix partitions nothing
     for bad in NON_INTEGERS:
         for name in ("num_seeds", "workers", "box_side", "q_max", "pairs", "random_sets"):
             with pytest.raises(TypeError, match=name):
@@ -187,6 +192,18 @@ def test_sweep_config_rejects_unsampleable_cells(tmp_path, monkeypatch, capsys):
     assert sampled == [] and not out.exists()
 
 
+def test_negative_zero_r_names_the_cell_r_zero(tmp_path):
+    assert derive_seed(0, 3, -0.0, 0) == derive_seed(0, 3, 0.0, 0) == 10916582310131346783
+    assert math.copysign(1.0, ModelParams(n=3, r=-0.0, seed=0).r) == 1.0
+    texts = []
+    for spelling in ("-0.0", "0.0"):
+        out = tmp_path / f"r{spelling}.csv"
+        assert run_cli_sweep(tmp_path, out, experiment="diameter", n_values=3, r_values=spelling, num_seeds=1) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    assert texts[0].splitlines()[1].startswith("diameter,3,0,10916582310131346783,")
+
+
 def test_instance_seeds():
     cfg = SweepConfig(experiment="mix", n_values=(3, 5), r_values=(1.0,), num_seeds=3, seed_base=4)
     assert cfg.instance_seeds(3, 1.0) == tuple(derive_seed(4, 3, 1.0, k) for k in range(3))
@@ -204,6 +221,10 @@ def test_config_digest_distinguishes_fields():
     assert config_digest(other) != config_digest(cfg)
     other = SweepConfig(experiment="mix", n_values=(3,), r_values=(1.5,), num_seeds=2)
     assert config_digest(other) != config_digest(cfg)
+    # no record depends on the worker count, so neither does the manifest
+    for workers in (1, 2, 8):
+        other = SweepConfig(experiment="mix", n_values=(3,), r_values=(1.0,), num_seeds=2, workers=workers)
+        assert config_digest(other) == config_digest(cfg)
 
 
 def small_mix_config(**over):
@@ -258,7 +279,7 @@ def test_emit_csv_round_trip(tmp_path):
     cfg = small_mix_config()
     records = run_sweep(cfg)
     path = tmp_path / "mix.csv"
-    emit(records, "csv", path, cfg)
+    emit(records, path, cfg)
     loaded, manifest = load_records(path)
     assert loaded == records
     assert manifest["config_sha256"] == config_digest(cfg)
@@ -272,18 +293,23 @@ def test_emit_json_round_trip(tmp_path):
     cfg = small_mix_config()
     records = run_sweep(cfg)
     path = tmp_path / "mix.json"
-    emit(records, "json", path, cfg)
+    emit(records, path, cfg)
     loaded, manifest = load_records(path)
     assert loaded == records
     assert manifest["config_sha256"] == config_digest(cfg)
 
 
-def test_emit_byte_identical_across_runs(tmp_path):
-    cfg = small_mix_config(n_values=(3, 4), workers=4)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit(run_sweep(cfg), "csv", a, cfg)
-    emit(run_sweep(cfg), "csv", b, cfg)
-    assert a.read_bytes() == b.read_bytes()
+def test_emit_byte_identical_across_runs(tmp_path, monkeypatch):
+    # whole files, manifest included, at every worker count
+    monkeypatch.delenv(swmix.harness.WORKERS_ENV_VAR, raising=False)
+    for suffix in ("csv", "json"):
+        files = set()
+        for k, workers in enumerate((1, 2, 3, 3)):
+            cfg = small_mix_config(n_values=(3, 4), workers=workers)
+            path = tmp_path / f"run{k}.{suffix}"
+            emit(run_sweep(cfg), path, cfg)
+            files.add(path.read_bytes())
+        assert len(files) == 1
 
 
 def test_emit_errors(tmp_path):
@@ -291,10 +317,8 @@ def test_emit_errors(tmp_path):
     records = run_sweep(cfg)
     path = tmp_path / "none.csv"
     with pytest.raises(ValueError):
-        emit([], "csv", path, cfg)
+        emit([], path, cfg)
     assert not path.exists()
-    with pytest.raises(ValueError):
-        emit(records, "tsv", path, cfg)
     mixed = records + [
         ExperimentRecord(
             experiment="mix", n=3, r=2.0, seed=1, num_vertices=49,
@@ -302,7 +326,7 @@ def test_emit_errors(tmp_path):
         )
     ]
     with pytest.raises(ValueError):
-        emit(mixed, "csv", path, cfg)
+        emit(mixed, path, cfg)
 
 
 def test_record_columns_are_typed_by_name(tmp_path):
@@ -318,7 +342,7 @@ def test_record_columns_are_typed_by_name(tmp_path):
     cfg = small_mix_config()
     for fmt in ("csv", "json"):
         path = tmp_path / f"rec.{fmt}"
-        emit([rec], fmt, path, cfg)
+        emit([rec], path, cfg)
         assert load_records(path)[0] == [rec]
     assert "5,1,1,4\n" in (tmp_path / "rec.csv").read_text()
     # an integer column refuses a real it would truncate
@@ -376,12 +400,11 @@ def test_load_sweep_config(tmp_path):
         "seed_base = 9\n"
         "starts = heuristic\n"
         "include_sweep_min = false\n"
-        "output = out.csv\n"
     )
     cfg = load_sweep_config(path)
     assert cfg == SweepConfig(
         experiment="mix", n_values=(3, 5), r_values=(1.0, 2.0), num_seeds=2,
-        seed_base=9, starts="heuristic", include_sweep_min=False, output="out.csv",
+        seed_base=9, starts="heuristic", include_sweep_min=False,
     )
     for word, value in (("yes", True), ("No", False)):
         path.write_text(f"experiment = mix\nn_values = 3\nr_values = 1\nnum_seeds = 1\ninclude_sweep_min = {word}\n")
@@ -413,6 +436,10 @@ def test_load_sweep_config_errors(tmp_path):
         load_sweep_config(path)
     path.write_text("n_values = 3\nr_values = 1\nnum_seeds = 1\n")
     with pytest.raises(ValueError, match="incomplete"):
+        load_sweep_config(path)
+    # the output path is the CLI's --out, not a config key
+    path.write_text("experiment = mix\noutput = x.csv\n")
+    with pytest.raises(ValueError, match="line 2: unknown config key 'output'"):
         load_sweep_config(path)
 
 
@@ -688,24 +715,22 @@ def test_cli_wq(tmp_path):
 
 def test_cli_sweep_config(tmp_path):
     cfg_path = tmp_path / "sweep.cfg"
-    out = tmp_path / "out.json"
-    cfg_path.write_text(
-        "experiment = diameter\nn_values = 4\nr_values = 2.0\nnum_seeds = 2\n"
-        f"output = {out}\n"
-    )
-    assert main(["sweep", "--config", str(cfg_path)]) == 0
-    records, _ = load_records(out)
-    assert len(records) == 2
-    # --out overrides the config path
-    other = tmp_path / "other.csv"
-    assert main(["sweep", "--config", str(cfg_path), "--out", str(other)]) == 0
-    assert other.exists()
+    cfg_path.write_text("experiment = diameter\nn_values = 4\nr_values = 2.0\nnum_seeds = 2\n")
+    # the --out suffix picks the format, and both files carry the same records and manifest
+    loaded = []
+    for name in ("out.json", "out.csv"):
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        loaded.append(load_records(out))
+    assert (tmp_path / "out.json").read_text().startswith("[")
+    assert len(loaded[0][0]) == 2
+    assert loaded[0] == loaded[1]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.cfg"
     bad_cfg.write_text("experiment = mix\nbogus = 1\n")
-    assert main(["sweep", "--config", str(bad_cfg)]) == 2
+    assert main(["sweep", "--config", str(bad_cfg), "--out", str(tmp_path / "bad.csv")]) == 2
     assert "error" in capsys.readouterr().err
     out = tmp_path / "x.csv"
     assert run_cli_sweep(tmp_path, out, experiment="mix", n_values=20, r_values=1.0, num_seeds=1, starts="all") == 3
@@ -713,9 +738,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     missing_dir = tmp_path / "nope" / "g.txt"
     assert main(["generate", "--n", "3", "--r", "1.0", "--out", str(missing_dir)]) == 4
     assert "i/o" in capsys.readouterr().err
-    no_out = tmp_path / "noout.cfg"
-    no_out.write_text("experiment = diameter\nn_values = 3\nr_values = 1\nnum_seeds = 1\n")
-    assert main(["sweep", "--config", str(no_out)]) == 2
+    old_out = tmp_path / "old.cfg"
+    old_out.write_text(f"experiment = diameter\nn_values = 3\nr_values = 1\nnum_seeds = 1\noutput = {out}\n")
+    assert main(["sweep", "--config", str(old_out), "--out", str(out)]) == 2
+    assert "unknown config key 'output'" in capsys.readouterr().err
+    assert not out.exists()
+    # sweep has no output path but --out
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", str(old_out)])
+    assert info.value.code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_cli_convergence_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,9 @@
 """The one sweep pipeline: golden records, the tracing contract, config plumbing.
 
-Golden digests pin the bytes emitted for one tiny config per experiment
-(manifest included, so each worker count has its own digest).  The mix
-experiment pins only its integer columns, because `gap` depends on the BLAS
-build.
+Golden digests pin the bytes emitted for one tiny config per experiment,
+manifest included; the manifest leaves out the worker count, so one digest
+holds at every worker count.  The mix experiment pins only its integer
+columns, because `gap` depends on the BLAS build.
 """
 
 import dataclasses
@@ -28,16 +28,11 @@ GOLDEN_CONFIGS = {
 }
 
 GOLDEN_SHA256 = {
-    ("diameter", 1): "5d3d6e5783100244d1a26a29b5990961c885e30593949e7dc6f645aee33e24a4",
-    ("diameter", 3): "e59057114c750bf281a6b8002c6c8af00c475b5ef42a87e86d7dbb76d9f6a232",
-    ("routing", 1): "0d2534e5c2c5c51a3de94f91f0b6bc587a21b886a83b2c6ee0cf76fec9a5be36",
-    ("routing", 3): "a0361618b8aa727d5cec04e44c219a563bd4e4b2e3c48b6eb39c2e295e56953d",
-    ("wq", 1): "4af610633a02550cd9abdf45f54b90850e8d0d08a8e846d2663cd14a6a4d958c",
-    ("wq", 3): "bce3f95047c177669b97dd203befacc42e4808127994064e7d5061d2e46760ae",
-    ("expansion", 1): "76faaa6b78506679fe79c17e690a7c4809c19cdd209c8bf3cdada815c9f5ce52",
-    ("expansion", 3): "5cdc1b0f51592a6134769f78cbf8177179e7484d5789849777a55fe265c0fdda",
-    ("conductance", 1): "a126ec3cce2eeaf7ac2cacb3f754bc1054b428f7574dd07200fb49a681ce2cec",
-    ("conductance", 3): "fa840297b68c58194f0e9c552d1df4a34aab45aabeceaec964ed2d0f3d41204e",
+    "diameter": "f49238720522020cfd49872554e0dd61bdb5593c1859416198f12f39f5e75099",
+    "routing": "8cd9b52afcfbe7898dc136f2169197223550f53b443ef127328ea3f3fcccef95",
+    "wq": "1d88737ee49f90165129ca2d2829f60572a1370bed7679bc7575a2686736cedb",
+    "expansion": "33e1e1e2520f615068919e3a20dceafe61d030325f337d4d1dd4351244c37900",
+    "conductance": "38da8336fd6230981ed4d151feea92f022d006d9facdcb68e2a6f5e3ad2ee89d",
 }
 
 # (t_mix, t_mix_exact, diameter, edge_count) per record, in emission order
@@ -66,8 +61,8 @@ def test_golden_records(experiment, workers, tmp_path, monkeypatch):
         assert _mix_integers(records) == GOLDEN_MIX_INTEGERS
         return
     path = tmp_path / "records.csv"
-    emit(records, "csv", path, cfg)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[(experiment, workers)]
+    emit(records, path, cfg)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[experiment]
 
 
 def _mix_integers(records):
