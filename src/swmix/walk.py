@@ -14,7 +14,10 @@ column fails, and evaluates the full worst distance only when it passes.
 It holds the N x k block of start distributions and one working block of
 the same size, a kernel product's output or a full evaluation's deviations,
 and nothing larger.
-The spectral gap comes from one Lanczos solve on the symmetrized kernel.
+The spectral gap comes from one thick-restart Lanczos solve on the
+symmetrized kernel, written in numpy: an (m + 1) x N basis, m = min(20, N - 1),
+kept orthonormal by two Gram-Schmidt passes, restarted from its top five Ritz
+vectors, and an eigenvector signed against the seeded start vector.
 
 With ``starts="all"`` the estimate is exact.  Above EXACT_STARTS_MAX_VERTICES
 vertices the ``"auto"`` policy switches to a documented heuristic start set,
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .bfs import bfs_distances
 from .errors import ConvergenceError
@@ -66,13 +68,17 @@ _RANDOM_STARTS = 32
 # Largest t the mixing search evaluates before giving up.
 _MAX_STEPS = 1_000_000
 
-# ARPACK's relative residual tolerance for the Lanczos solve: it stops once
+# Relative residual tolerance of the Lanczos solve: it stops once
 # ||S x - lambda_2 x|| <= _EIGEN_TOL * lambda_2, which leaves the eigenvector
 # converged to about 1e-10, as sweep_cut needs.
 _EIGEN_TOL = 1e-10
 
-# Cap on ARPACK's implicit restarts.
+# Cap on the Lanczos sweeps, one per thick restart.
 _MAX_RESTARTS = 30_000
+
+# Lanczos basis rows per sweep and Ritz vectors kept at each thick restart.
+_LANCZOS_BASIS = 20
+_LANCZOS_KEPT = 5
 
 
 def stationary(graph: SmallWorldGraph) -> np.ndarray:
@@ -263,48 +269,92 @@ def second_eigenpair(graph: SmallWorldGraph):
     Works on the symmetrized kernel S = D^(1/2) P D^(-1/2) with its known top
     eigenvector sqrt(pi) deflated, so the operator keeps the spectrum of S
     except that eigenvalue 1 becomes 0.  Laziness puts the whole spectrum in
-    [0, 1], so the largest remaining eigenvalue is lambda_2 itself, found by
-    one ARPACK Lanczos solve (``eigsh``, k=1, largest algebraic) from a
-    seeded start vector.  Returns (lambda_2, x) with x the unit eigenvector
-    of S; the corresponding right eigenvector of P is D^(-1/2) x.  The solve
-    runs to the residual tolerance _EIGEN_TOL.
+    [0, 1], so the largest remaining eigenvalue is lambda_2 itself.  It is
+    found by a thick-restart Lanczos solve (Wu and Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000) from a seeded start vector v0:
+
+    - the basis is an (m + 1) x N array of rows, m = min(_LANCZOS_BASIS,
+      N - 1), and each new row is orthogonalized against all earlier rows
+      by two classical Gram-Schmidt passes;
+    - once a sweep of operator products has filled m rows, the eigenpairs
+      of the projected m x m matrix (np.linalg.eigh) give the Ritz pairs; the
+      top one (theta, s) has converged once beta * |s_m| <= _EIGEN_TOL *
+      |theta|, where beta is the norm of the last residual and s_m the last
+      component of s, so that beta * |s_m| is the residual norm of the Ritz
+      vector;
+    - otherwise the top _LANCZOS_KEPT Ritz vectors and the residual row
+      start the next sweep;
+    - on breakdown, beta <= _EIGEN_TOL * alpha for the diagonal entry alpha
+      just computed, the rows span an invariant subspace to the tolerance;
+      since theta >= alpha and |s_m| <= 1, the top Ritz pair of the rows so
+      far passes the test and is returned at once.
+
+    Returns (lambda_2, x) with x the unit eigenvector of S, signed so that
+    x . v0 < 0; the corresponding right eigenvector of P is D^(-1/2) x.
 
     Raises:
         ConvergenceError: if the solve does not converge within _MAX_RESTARTS
-            restarts.  A converged eigenpair would have ended the solve, so
-            the error carries the last vector the solver produced (unit
-            norm) as last_iterate and its Rayleigh quotient, a lower bound
-            on lambda_2, as last_value.
+            sweeps.  The error carries the top Ritz vector of the last sweep
+            (unit norm) as last_iterate and its Ritz value, the Rayleigh
+            quotient of that vector and a lower bound on lambda_2, as
+            last_value.
     """
     deg = graph.degrees.astype(np.float64)
     u1 = np.sqrt(deg)
     u1 /= np.linalg.norm(u1)
     dinv_sqrt = 1.0 / np.sqrt(deg)
     adj = graph.adjacency
-    # ARPACK hands back no partial pair for k=1, so the error reports the
-    # last product the solver asked for.
-    last = None
 
     def apply_deflated(x):
-        nonlocal last
-        last = 0.5 * x + 0.5 * dinv_sqrt * (adj @ (dinv_sqrt * x)) - (u1 @ x) * u1
-        return last
+        return 0.5 * x + 0.5 * dinv_sqrt * (adj @ (dinv_sqrt * x)) - (u1 @ x) * u1
 
-    v = _stream(graph.params.seed, 0, 2).standard_normal(graph.num_vertices)
-    v -= (u1 @ v) * u1
-    num = graph.num_vertices
-    op = scipy.sparse.linalg.LinearOperator((num, num), matvec=apply_deflated, dtype=np.float64)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v, tol=_EIGEN_TOL, maxiter=_MAX_RESTARTS)
-    except scipy.sparse.linalg.ArpackNoConvergence:
-        x = last / np.linalg.norm(last)
-        raise ConvergenceError(
-            f"Lanczos solve did not converge within {_MAX_RESTARTS} restarts",
-            last_value=float(x @ apply_deflated(x)),
-            last_iterate=x,
-            iterations=_MAX_RESTARTS,
-        ) from None
-    return float(vals[0]), vecs[:, 0]
+    v0 = _stream(graph.params.seed, 0, 2).standard_normal(graph.num_vertices)
+    v0 -= (u1 @ v0) * u1
+    m = min(_LANCZOS_BASIS, graph.num_vertices - 1)
+    basis = np.empty((m + 1, graph.num_vertices))
+    basis[0] = v0 / np.linalg.norm(v0)
+    proj = np.zeros((m, m))
+    kept = 0
+    for _ in range(_MAX_RESTARTS):
+        for j in range(kept, m):
+            w = apply_deflated(basis[j])
+            alpha = 0.0
+            for _pass in range(2):
+                h = basis[: j + 1] @ w
+                w -= h @ basis[: j + 1]
+                alpha += h[j]
+            beta = math.sqrt(w @ w)
+            proj[j, j] = alpha
+            if beta <= _EIGEN_TOL * alpha:
+                theta, s = np.linalg.eigh(proj[: j + 1, : j + 1])
+                return _signed_pair(theta[-1], s[:, -1] @ basis[: j + 1], v0)
+            basis[j + 1] = w / beta
+            if j + 1 < m:
+                proj[j, j + 1] = proj[j + 1, j] = beta
+        theta, s = np.linalg.eigh(proj)
+        if beta * abs(s[-1, -1]) <= _EIGEN_TOL * abs(theta[-1]):
+            return _signed_pair(theta[-1], s[:, -1] @ basis[:m], v0)
+        kept = min(_LANCZOS_KEPT, m - 1)
+        basis[:kept] = s[:, -kept:].T @ basis[:m]
+        basis[kept] = basis[m]
+        proj[:] = 0.0
+        proj[:kept, :kept] = np.diag(theta[-kept:])
+        proj[kept, :kept] = proj[:kept, kept] = beta * s[-1, -kept:]
+    x = basis[kept - 1] / np.linalg.norm(basis[kept - 1])
+    raise ConvergenceError(
+        f"Lanczos solve did not converge within {_MAX_RESTARTS} restarts",
+        last_value=float(theta[-1]),
+        last_iterate=x,
+        iterations=_MAX_RESTARTS,
+    )
+
+
+def _signed_pair(theta, x, v0):
+    # the unit Ritz vector, signed so that x . v0 < 0
+    x /= np.linalg.norm(x)
+    if x @ v0 > 0:
+        x = -x
+    return float(theta), x
 
 
 def spectral_gap(graph: SmallWorldGraph) -> float:

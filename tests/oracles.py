@@ -18,6 +18,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import scipy.sparse.linalg
 
 from swmix.errors import CapacityError
 from swmix.expansion import CutReport, _conductance_from
@@ -493,6 +494,32 @@ def mixing_time_stride_bisect(graph, starts="auto", epsilon: float = 0.25):
             lo, Ylo = t, Y
         t = min(t + min(t, 16), walk._MAX_STEPS) if hi is None else (lo + hi) // 2
     return hi, start_vertices
+
+
+def second_eigenpair_arpack(graph):
+    """(lambda_2, x) of the lazy kernel from ARPACK's Lanczos solve.
+
+    The library's former solver: the same deflated operator and seeded start
+    vector as swmix.walk.second_eigenpair, handed to scipy's ``eigsh`` (k=1,
+    largest algebraic) with the same tolerance and restart cap.
+    """
+    deg = graph.degrees.astype(np.float64)
+    u1 = np.sqrt(deg)
+    u1 /= np.linalg.norm(u1)
+    dinv_sqrt = 1.0 / np.sqrt(deg)
+    adj = graph.adjacency
+
+    def apply_deflated(x):
+        return 0.5 * x + 0.5 * dinv_sqrt * (adj @ (dinv_sqrt * x)) - (u1 @ x) * u1
+
+    v = _stream(graph.params.seed, 0, 2).standard_normal(graph.num_vertices)
+    v -= (u1 @ v) * u1
+    num = graph.num_vertices
+    op = scipy.sparse.linalg.LinearOperator((num, num), matvec=apply_deflated, dtype=np.float64)
+    vals, vecs = scipy.sparse.linalg.eigsh(
+        op, k=1, which="LA", v0=v, tol=walk._EIGEN_TOL, maxiter=walk._MAX_RESTARTS
+    )
+    return float(vals[0]), vecs[:, 0]
 
 
 def spectral_gap_dense(kernel, pi) -> float:

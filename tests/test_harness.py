@@ -783,6 +783,20 @@ def test_cli_import_leaves_out_unused_stdlib_modules():
     assert proc.stdout == "[]\n"
 
 
+def test_mix_sweep_leaves_out_scipy_linalg():
+    # the eigen solve is numpy's, so only scipy.sparse is loaded
+    script = (
+        "import sys, swmix.cli\n"
+        "from swmix import ModelParams, SweepConfig, run_sweep, sample_graph, sweep_cut\n"
+        "run_sweep(SweepConfig(experiment='mix', n_values=(2,), r_values=(1.0,), num_seeds=1))\n"
+        "sweep_cut(sample_graph(ModelParams(n=2, r=1.0, seed=0)))\n"
+        "print(sorted({'scipy.sparse.linalg', 'scipy.linalg'} & set(sys.modules)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_package_all_is_built_from_submodules():
     assert len(swmix.__all__) == len(set(swmix.__all__))
     for module in (swmix.errors, swmix.torus, swmix.generate, swmix.bfs, swmix.walk, swmix.expansion, swmix.harness):
