@@ -23,12 +23,17 @@ tests compare it against lives in tests/oracles.py.
 
 The draws run in batched rounds.  In each round every class that is still
 short by s pairs draws a batch of max(16, int(1.2 s)) (vertex, offset) pairs
-from its own stream, and the batches of all classes are deduplicated
-together: a pair is kept if its key lo * N + hi is new, and each class keeps
-its first s new keys in draw order.  This is the same set that rejecting
-repeats one key at a time picks, because two classes never share a key (their
-pairs lie at different torus distances) and the first occurrence of a key in
-draw order is the one a one-at-a-time loop would meet first.
+from its own stream, and the batches are deduplicated together: a pair is
+kept if its key lo * N + hi is new, and each class keeps its first s new keys
+in draw order.  This is the same set that rejecting repeats one key at a time
+picks, because two classes never share a key (their pairs lie at different
+torus distances) and the first occurrence of a key in draw order is the one a
+one-at-a-time loop would meet first.  For the same reason the classes need
+not all draw together: they are cut, in class order, into groups whose first
+batches sum to at most _GROUP_DRAWS draws, and each group runs its rounds to
+completion before the next one starts, so that one round holds a bounded
+number of draws.  A class's batch sizes depend only on its own shortfall, so
+every class consumes its stream exactly as it would in one joint round.
 
 Layout. A graph stores only its sorted long-range rows over an implicit
 torus.  The degrees and the pair list are derived from the rows on first
@@ -368,17 +373,24 @@ def _pair_keys(pairs, N: int) -> np.ndarray:
 def _assemble(params: ModelParams, long_keys: np.ndarray, normalizer: float) -> SmallWorldGraph:
     """Build the graph from the long-range pairs with the given sorted keys; the torus stays implicit.
 
-    long_keys holds one int64 key lo * N + hi per pair (see _pair_keys).  One
-    sort of the 2k directed keys row * N + col orders the long-range rows,
-    which are all the graph stores.
+    long_keys holds one int64 key lo * N + hi per pair (see _pair_keys).  Row v
+    holds one entry per pair with v as its lo or its hi half, so the row
+    pointers are counted from the two halves, one at a time.  One sort of the
+    2k directed keys row * N + col then orders the long-range rows, which are
+    all the graph stores.
     """
     N = num_vertices(params.n)
     lo, hi = np.divmod(long_keys, N)
-    keys = np.concatenate([long_keys, hi * N + lo])
-    del lo, hi
-    keys.sort()
     indptr = np.zeros(N + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // N, minlength=N), out=indptr[1:])
+    indptr[1:] = np.bincount(lo, minlength=N)
+    indptr[1:] += np.bincount(hi, minlength=N)
+    np.cumsum(indptr, out=indptr)
+    hi *= N
+    hi += lo
+    del lo
+    keys = np.concatenate([long_keys, hi])
+    del hi
+    keys.sort()
     keys %= N
     for arr in (indptr, keys):
         arr.setflags(write=False)
@@ -391,9 +403,41 @@ def _assemble(params: ModelParams, long_keys: np.ndarray, normalizer: float) -> 
     )
 
 
+# The first-round draws of one class group sum to at most this many, unless one
+# class alone draws more.  At n = 128, r = 1 and 2, any bound from 1,024 to
+# 16,384 leaves the assembly's 1.76 MiB as the traced peak of sample_graph,
+# against 2.68 MiB when all classes draw together.  At 4,096 the draws peak at
+# 0.77 MiB, and the 9 cells n = 32, 64, 128 x r = 1, 2, 4 take 38 rounds
+# instead of 9 with the sampler time at par (44.0 against 45.5 ms, min of 10
+# alternating runs of 15 on a 2-vCPU Xeon, one BLAS thread).
+_GROUP_DRAWS = 4096
+
+
+def _batches(need: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """The round's batch size max(16, int(1.2 s)) of each active class, short by s pairs."""
+    return np.maximum(16, (1.2 * need[active]).astype(np.int64))
+
+
+def _class_groups(need: np.ndarray) -> list:
+    """The classes with need > 0 in class order, cut into runs whose batches sum to at most _GROUP_DRAWS.
+
+    A class whose own batch exceeds the bound forms a group alone.
+    """
+    active = np.flatnonzero(need)
+    groups, start, total = [], 0, 0
+    for i, b in enumerate(_batches(need, active).tolist()):
+        if total and total + b > _GROUP_DRAWS:
+            groups.append(active[start:i])
+            start, total = i, 0
+        total += b
+    if active.size:
+        groups.append(active[start:])
+    return groups
+
+
 def _round_draws(rngs: list, sizes: list, active: np.ndarray, need: np.ndarray, n: int, N: int) -> tuple:
     """Keys and classes of one round's draws, in draw order: a batch of (vertex, ring offset) pairs per active class."""
-    batches = [max(16, int(1.2 * need[c])) for c in active]
+    batches = _batches(need, active).tolist()
     u = np.concatenate([rngs[c].integers(0, N, size=b) for c, b in zip(active, batches)])
     oi = np.concatenate([rngs[c].integers(0, sizes[c], size=b) for c, b in zip(active, batches)])
     cls = np.repeat(active, batches)
@@ -417,12 +461,14 @@ def _new_keys(keys: np.ndarray, cls: np.ndarray, need: np.ndarray, chosen: np.nd
 
 
 def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
-    """Sorted keys lo * N + hi of the long-range pairs, drawn class by class.
+    """Sorted keys lo * N + hi of the long-range pairs, drawn class group by class group.
 
-    Each round draws one batch for every class that is still short and keeps,
-    per class, its first new keys in draw order, up to the number it needs.
-    A round's arrays are freed when its two helpers return, before the next
-    round draws.
+    Each round draws one batch for every class of the group that is still
+    short and keeps, per class, its first new keys in draw order, up to the
+    number it needs.  The new keys go straight into the output array, whose
+    slice of the group so far is the group's set of chosen keys; a round's
+    other arrays are freed when its two helpers return, before the next round
+    draws.  One sort of the output ends the draws.
     """
     n, r = params.n, params.r
     N = num_vertices(n)
@@ -434,24 +480,27 @@ def _draw_long_range_keys(params: ModelParams, z: float) -> np.ndarray:
         [int(rng.binomial(N * rs // 2, float(d) ** -r / z)) for rng, rs, d in zip(rngs, sizes, dists)],
         dtype=np.int64,
     )
-    chosen = np.empty(0, np.int64)
-    active = np.flatnonzero(need)
-    while active.size:
-        keys, classes = _new_keys(*_round_draws(rngs, sizes, active, need, n, N), need, chosen)
-        chosen = np.concatenate([chosen, keys])
-        need -= np.bincount(classes, minlength=need.size)
-        active = np.flatnonzero(need)
-    chosen.sort()
-    return chosen
+    keys = np.empty(int(need.sum()), np.int64)
+    end = 0
+    for active in _class_groups(need):
+        start = end
+        while active.size:
+            new, classes = _new_keys(*_round_draws(rngs, sizes, active, need, n, N), need, keys[start:end])
+            keys[end : end + new.size] = new
+            end += new.size
+            need -= np.bincount(classes, minlength=need.size)
+            active = active[need[active] > 0]
+    keys.sort()
+    return keys
 
 
 def sample_graph(params: ModelParams) -> SmallWorldGraph:
     """Sample one graph with the per-distance-class binomial sampler.
 
     Equivalent in law to independent per-pair Bernoulli draws; see the module
-    docstring.  Repeated pairs are dropped in batched rounds over all classes
-    at once, which keeps per class the first new keys in draw order and so
-    picks the same pairs as a per-key rejection loop.  Runs in
+    docstring.  Repeated pairs are dropped in batched rounds over groups of
+    classes, which keep per class the first new keys in draw order and so
+    pick the same pairs as a per-key rejection loop.  Runs in
     O((N + #edges) log N) expected time.
 
     Raises:

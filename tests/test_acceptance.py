@@ -12,6 +12,7 @@ import statistics
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.stats
 
 import oracles
@@ -236,7 +237,7 @@ def test_c06_walk_kernel_oracle(capsys):
     rng = np.random.default_rng(6)
     mismatches = 0
     rev_err = 0.0
-    mass_err = 0.0
+    kernels = []
     for _ in range(20):
         n = int(rng.integers(2, 6))
         r = float(rng.choice(R_GRID))
@@ -247,17 +248,21 @@ def test_c06_walk_kernel_oracle(capsys):
         want = oracles.mixing_time_by_powering(kernel, pi)
         mismatches += est.t_mix != want
 
-        P = lazy_kernel(g).toarray()
+        kernels.append(lazy_kernel(g))
         piv = np.asarray(stationary(g))
-        flow = piv[:, None] * P
+        flow = piv[:, None] * kernels[-1].toarray()
         rev_err = max(rev_err, float(np.abs(flow - flow.T).max()))
 
-        mu = np.zeros(g.num_vertices)
-        mu[0] = 1.0
-        K = lazy_kernel(g)
-        for _ in range(10_000):
-            mu = mu @ K
-        mass_err = max(mass_err, abs(float(mu.sum()) - 1.0))
+    # All 20 walks at once, each from its graph's vertex 0: block j of mu meets
+    # only block j of the kernel, in the same entry order, so each block is the
+    # bit-identical walk of its own graph.
+    starts = np.cumsum([0] + [P.shape[0] for P in kernels])
+    mu = np.zeros(starts[-1])
+    mu[starts[:-1]] = 1.0
+    K = scipy.sparse.block_diag(kernels, format="csr")
+    for _ in range(10_000):
+        mu = mu @ K
+    mass_err = max(abs(float(block.sum()) - 1.0) for block in np.split(mu, starts[1:-1]))
     ok = mismatches == 0 and rev_err <= 1e-12 and mass_err <= 1e-9
     _report(capsys, 6, ok,
             f"walk kernel vs dense powering oracle on 20 instances (N <= 121): {mismatches} t_mix mismatches; "

@@ -154,13 +154,49 @@ def _assert_same_graph(g, ref):
     assert g.normalizer == ref.normalizer
 
 
+# r = 8 and 30 leave many distance classes with k = 0; n = 1 has one class
+_ORACLE_GRID = [(n, r, seed) for n in (1, 2, 3, 5, 8, 13, 24) for r in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0)
+                for seed in (0, 1, 2**64 - 1)]
+
+
 def test_sampler_matches_setloop_oracle():
-    # r = 8 and 30 leave many distance classes with k = 0; n = 1 has one class
-    for n in (1, 2, 3, 5, 8, 13, 24):
-        for r in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0):
-            for seed in (0, 1, 2**64 - 1):
-                params = ModelParams(n=n, r=r, seed=seed)
-                _assert_same_graph(sample_graph(params), oracles.sample_graph_setloop(params))
+    for n, r, seed in _ORACLE_GRID:
+        params = ModelParams(n=n, r=r, seed=seed)
+        _assert_same_graph(sample_graph(params), oracles.sample_graph_setloop(params))
+
+
+# Every (n, r, seed) with n in (1, 2, 3, 5, 8), r among the grid's exponents and
+# seed < 100 whose later rounds draw keys already chosen; no cell of the oracle
+# grid runs a second round at all, so it never exercises that dedupe.
+_REPEAT_CASES = [(2, 2.0, 27), (2, 8.0, 5), (2, 8.0, 27), (2, 30.0, 5), (2, 30.0, 18), (2, 30.0, 86), (3, 8.0, 62)]
+
+
+@pytest.mark.parametrize("bound", [16, 40])
+def test_sampler_matches_setloop_oracle_across_class_groups(bound, monkeypatch):
+    # the real bound keeps n <= 24 in one class group; these cut it into many,
+    # and at 16 every class draws alone, so each group exceeds the bound
+    monkeypatch.setattr(generate, "_GROUP_DRAWS", bound)
+    class_groups, new_keys = generate._class_groups, generate._new_keys
+    groups, repeats = [], []
+
+    def recording_groups(need):
+        cut = class_groups(need)
+        groups.extend((g.size, int(generate._batches(need, g).sum())) for g in cut)
+        return cut
+
+    def recording_repeats(keys, cls, need, chosen):
+        repeats.append(int(np.isin(keys, chosen).sum()))
+        return new_keys(keys, cls, need, chosen)
+
+    monkeypatch.setattr(generate, "_class_groups", recording_groups)
+    monkeypatch.setattr(generate, "_new_keys", recording_repeats)
+    for n, r, seed in _ORACLE_GRID + _REPEAT_CASES:
+        params = ModelParams(n=n, r=r, seed=seed)
+        _assert_same_graph(sample_graph(params), oracles.sample_graph_setloop(params))
+    assert any(size > 1 for size, _ in groups) == (bound > 16)
+    assert any(size == 1 and draws > bound for size, draws in groups)
+    assert all(draws <= bound for size, draws in groups if size > 1)
+    assert sum(repeats) > 0
 
 
 def test_sampler_normalizer_underflow():
@@ -493,11 +529,13 @@ def test_graph_derives_every_array_from_the_long_range_rows():
 
 def test_sampled_graph_holds_only_its_long_range_rows():
     # n = 128 has N = 66,049 vertices and about N / 2 long-range pairs: the
-    # rows take 1.0 MiB, and one round's draws at most a few arrays of 1.2 k keys
+    # rows take 1.0 MiB; the draws run in class groups of at most _GROUP_DRAWS
+    # first-round draws, so the peak is the assembly's, with a few arrays of N
+    # row counts beside the k keys and their halves
     sample_graph(ModelParams(n=4, r=1.0, seed=0))  # imports and first-call set-up stay out of the trace
     for seed in (0, 1):
         g, held, peak = traced(lambda: sample_graph(ModelParams(n=128, r=1.0, seed=seed)))
-        assert peak < 3.0 * 2**20, (seed, peak)
+        assert peak < 2.0 * 2**20, (seed, peak)
         assert held <= 1.1 * 2**20, (seed, held)
         assert set(vars(g)) == {"params", "num_vertices", "edge_count", "long_range_rows", "normalizer"}
 
