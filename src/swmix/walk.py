@@ -36,22 +36,17 @@ import scipy.sparse
 from .bfs import bfs_distances
 from .errors import ConvergenceError
 from .generate import SmallWorldGraph, _stream
-from .torus import _integer, _integers, _real
+from .torus import _integers, _real
 
 __all__ = [
     "EXACT_STARTS_MAX_VERTICES",
     "stationary",
-    "lazy_kernel",
-    "step_distribution",
-    "tv_distance",
-    "distance_to_stationarity",
     "MixingEstimate",
     "mixing_time",
     "heuristic_start_vertices",
     "spectral_gap",
     "second_eigenpair",
     "relaxation_bounds",
-    "sample_trajectory",
 ]
 
 # Largest N for which the default policy evolves all N point masses exactly.  At seed 3,
@@ -59,7 +54,7 @@ __all__ = [
 # 2-vCPU Xeon VM).  perfbench/check.py hard-codes 400 for t_mix_exact, so both move together.
 EXACT_STARTS_MAX_VERTICES = 400
 
-# Names of the start policies, in the order the CLI lists them.
+# Names of the start policies, in the order that the SweepConfig and mixing_time errors list them.
 _START_POLICIES = ("auto", "all", "heuristic")
 
 # Uniform vertices drawn for the heuristic start set, beside the far vertex of vertex 0.
@@ -86,64 +81,12 @@ def stationary(graph: SmallWorldGraph) -> np.ndarray:
     return graph.degrees / (2.0 * graph.edge_count)
 
 
-def lazy_kernel(graph: SmallWorldGraph) -> scipy.sparse.csr_matrix:
-    """Row-stochastic lazy transition matrix P = I/2 + D^(-1) A / 2."""
-    return _kernel_transpose(graph).T.tocsr()
-
-
 def _kernel_transpose(graph: SmallWorldGraph) -> scipy.sparse.csr_matrix:
     # Column-stochastic form acting on column distributions: P^T y.
     n = graph.num_vertices
     dinv = 1.0 / graph.degrees
     walk_t = graph.adjacency @ scipy.sparse.diags(dinv)
     return (0.5 * scipy.sparse.eye(n, format="csr") + 0.5 * walk_t).tocsr()
-
-
-def step_distribution(graph: SmallWorldGraph, mu) -> np.ndarray:
-    """One lazy-walk step applied to a distribution over vertices.
-
-    Raises:
-        ValueError: if mu does not have shape (N,) or has negative entries.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    if mu.shape != (graph.num_vertices,):
-        raise ValueError(f"distribution must have shape ({graph.num_vertices},), got {mu.shape}")
-    if np.any(mu < 0):
-        raise ValueError("distribution entries must be nonnegative")
-    return 0.5 * mu + 0.5 * (graph.adjacency @ (mu / graph.degrees))
-
-
-def tv_distance(mu, nu) -> float:
-    """Total-variation distance, half the L1 distance.
-
-    Raises:
-        ValueError: if the two vectors differ in shape.
-    """
-    mu = np.asarray(mu, dtype=np.float64)
-    nu = np.asarray(nu, dtype=np.float64)
-    if mu.shape != nu.shape:
-        raise ValueError(f"shape mismatch: {mu.shape} vs {nu.shape}")
-    return 0.5 * float(np.abs(mu - nu).sum())
-
-
-def _evolve(kernel_t, Y: np.ndarray, t_from: int, t_to: int) -> np.ndarray:
-    for _ in range(t_from, t_to):
-        Y = kernel_t @ Y
-    return Y
-
-
-def distance_to_stationarity(graph: SmallWorldGraph, v, t) -> float:
-    """TV distance between the walk started at vertex v after t steps and pi.
-
-    Raises:
-        TypeError: if v or t is not an integer (numpy integers are accepted).
-        ValueError: if v is out of range or t is negative.
-    """
-    v, t = _integer(v, "start vertex", 0, graph.num_vertices), _integer(t, "step count", 0)
-    y = np.zeros((graph.num_vertices, 1))
-    y[v, 0] = 1.0
-    y = _evolve(_kernel_transpose(graph), y, 0, t)
-    return tv_distance(y[:, 0], stationary(graph))
 
 
 @dataclass(frozen=True)
@@ -255,7 +198,7 @@ def mixing_time(graph: SmallWorldGraph, starts="auto", epsilon=0.25) -> MixingEs
                 last_iterate=tuple(curve),
                 iterations=_MAX_STEPS,
             )
-        Y = _evolve(kernel_t, Y, t, t + 1)
+        Y = kernel_t @ Y
         t += 1
         if t == _MAX_STEPS or 0.5 * float(np.abs(Y[:, c] - pi).sum()) <= epsilon + margin:
             c, tv = worst_column(Y)
@@ -378,26 +321,3 @@ def relaxation_bounds(gap, pi_min, epsilon=0.25):
                             ((gap, "gap"), (pi_min, "pi_min"), (epsilon, "epsilon")))
     t_rel = 1.0 / gap
     return (t_rel - 1.0) * math.log(1.0 / (2.0 * epsilon)), t_rel * math.log(1.0 / (epsilon * pi_min))
-
-
-def sample_trajectory(graph: SmallWorldGraph, start, steps, rng) -> np.ndarray:
-    """Simulate one lazy-walk trajectory; returns steps + 1 vertex indices.
-
-    Args:
-        rng: a numpy Generator; the caller owns stream derivation.
-
-    Raises:
-        TypeError: if start or steps is not an integer (numpy integers are
-            accepted).
-        ValueError: if start is out of range or steps is negative.
-    """
-    start, steps = _integer(start, "start vertex", 0, graph.num_vertices), _integer(steps, "step count", 0)
-    path = np.empty(steps + 1, dtype=np.int64)
-    path[0] = cur = start
-    lazy = rng.random(steps)
-    for i in range(steps):
-        if lazy[i] >= 0.5:
-            nbrs = graph.neighbours(cur)
-            cur = int(nbrs[rng.integers(0, nbrs.size)])
-        path[i + 1] = cur
-    return path

@@ -469,9 +469,9 @@ def mixing_time_stride_bisect(graph, starts="auto", epsilon: float = 0.25):
     Probes the worst TV over the start columns at t = 1, 2, 4, 8, 16, then
     every 16 steps, until one probe meets epsilon, and bisects between it and
     the last probe that failed, evolving each midpoint from the distributions
-    of that failed probe.  It shares only the kernel, the start policy and
-    the evolution step with swmix.walk.mixing_time, which must give the same
-    t_mix.
+    of that failed probe by its own product loop.  It shares only the kernel
+    and the start policy with swmix.walk.mixing_time, which must give the
+    same t_mix.
     """
     start_vertices, _ = walk._resolve_starts(graph, starts)
     pi = walk.stationary(graph)[:, None]
@@ -486,7 +486,9 @@ def mixing_time_stride_bisect(graph, starts="auto", epsilon: float = 0.25):
         return 0, start_vertices
     lo, Ylo, hi, t = 0, Y, None, 1
     while hi is None or hi - lo > 1:
-        Y = walk._evolve(kernel_t, Ylo, lo, t)
+        Y = Ylo
+        for _ in range(lo, t):
+            Y = kernel_t @ Y
         if passes(Y):
             hi = t
         else:

@@ -23,7 +23,6 @@ from swmix import (
     box_core_dichotomy,
     index_to_coord,
     is_expanding,
-    lazy_kernel,
     long_range_normalizer,
     make_box_partition,
     mask_from_indices,
@@ -36,6 +35,7 @@ from swmix import (
     torus_boundary_count,
     torus_distance,
 )
+from swmix import walk
 
 R_GRID = (0.0, 0.5, 1.0, 2.0, 2.5, 3.0, 4.0)
 
@@ -248,7 +248,7 @@ def test_c06_walk_kernel_oracle(capsys):
         want = oracles.mixing_time_by_powering(kernel, pi)
         mismatches += est.t_mix != want
 
-        kernels.append(lazy_kernel(g))
+        kernels.append(walk._kernel_transpose(g).T.tocsr())
         piv = np.asarray(stationary(g))
         flow = piv[:, None] * kernels[-1].toarray()
         rev_err = max(rev_err, float(np.abs(flow - flow.T).max()))

@@ -7,25 +7,20 @@ import numpy as np
 import pytest
 
 import oracles
-from support import NON_INTEGERS, traced
+from support import traced
 from swmix import (
     ConvergenceError,
     ModelParams,
     coord_to_index,
-    distance_to_stationarity,
     index_to_coord,
-    lazy_kernel,
     mixing_time,
     num_vertices,
     relaxation_bounds,
     sample_graph,
-    sample_trajectory,
     second_eigenpair,
     spectral_gap,
     stationary,
-    step_distribution,
     torus_only_graph,
-    tv_distance,
 )
 from swmix import walk
 from swmix.generate import _stream
@@ -54,16 +49,17 @@ def test_stationary_matches_degree_formula():
 def test_stationary_is_fixed_point():
     g = small_world(seed=21)
     pi = stationary(g)
-    after = step_distribution(g, pi)
+    after = walk._kernel_transpose(g) @ pi
     np.testing.assert_allclose(after, pi, atol=1e-10)
 
 
 def test_lazy_kernel_rows_and_laziness():
-    g = small_world(seed=2)
-    P = lazy_kernel(g).toarray()
-    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
-    assert (P.diagonal() >= 0.5 - 1e-15).all()
-    np.testing.assert_allclose(P, oracles.dense_lazy_kernel(g), atol=1e-14)
+    # the mixing search's kernel P^T: the rows of P are its columns
+    for g in (small_world(seed=2), torus_only_graph(2), small_world(n=2, r=0.0, seed=3)):
+        kernel_t = walk._kernel_transpose(g).toarray()
+        np.testing.assert_allclose(kernel_t.sum(axis=0), 1.0, atol=1e-12)
+        assert (kernel_t.diagonal() >= 0.5 - 1e-15).all()
+        np.testing.assert_allclose(kernel_t, oracles.dense_lazy_kernel(g).T, atol=1e-14)
 
 
 def test_step_distribution_point_mass():
@@ -71,16 +67,11 @@ def test_step_distribution_point_mass():
     v = coord_to_index(0, 0, 2)
     mu = np.zeros(g.num_vertices)
     mu[v] = 1.0
-    out = step_distribution(g, mu)
+    out = walk._kernel_transpose(g) @ mu
     assert out[v] == pytest.approx(0.5)
     for w in g.neighbours(v):
         assert out[w] == pytest.approx(0.5 / 4)
     assert out.sum() == pytest.approx(1.0, rel=1e-13)
-    with pytest.raises(ValueError):
-        step_distribution(g, mu[:-1])
-    mu[v + 1] = -0.5
-    with pytest.raises(ValueError):
-        step_distribution(g, mu)
 
 
 def test_two_steps_match_dense_power():
@@ -88,61 +79,43 @@ def test_two_steps_match_dense_power():
     P = oracles.dense_lazy_kernel(g)
     mu = np.zeros(g.num_vertices)
     mu[3] = 1.0
-    two = step_distribution(g, step_distribution(g, mu))
+    kernel_t = walk._kernel_transpose(g)
+    two = kernel_t @ (kernel_t @ mu)
     np.testing.assert_allclose(two, mu @ P @ P, atol=1e-13)
-
-
-def test_tv_distance_basics():
-    mu = np.zeros(9)
-    mu[0] = 1.0
-    nu = np.zeros(9)
-    nu[5] = 1.0
-    assert tv_distance(mu, mu) == 0.0
-    assert tv_distance(mu, nu) == pytest.approx(1.0)
-    uniform = np.full(9, 1.0 / 9)
-    assert tv_distance(mu, uniform) == pytest.approx(1.0 - 1.0 / 9)
-    rng = np.random.default_rng(0)
-    a = rng.dirichlet(np.ones(9))
-    b = rng.dirichlet(np.ones(9))
-    assert tv_distance(a, b) == pytest.approx(tv_distance(b, a))
-    assert tv_distance(a, b) == pytest.approx(0.5 * np.abs(a - b).sum())
-    with pytest.raises(ValueError):
-        tv_distance(a, b[:-1])
 
 
 def test_distance_to_stationarity_endpoints():
     g = small_world(seed=5)
     pi = stationary(g)
-    for v in (0, 17, g.num_vertices - 1):
-        assert distance_to_stationarity(g, v, 0) == pytest.approx(1.0 - pi[v])
-    assert distance_to_stationarity(g, 0, 4000) < 1e-3
+    starts = np.array([0, 17, g.num_vertices - 1])
+    cols = stepwise_column_tv(g, starts, 4000)
+    np.testing.assert_allclose(0.5 * cols[0], 1.0 - pi[starts])
+    assert 0.5 * cols[4000][0] < 1e-3
 
 
 def test_distance_to_stationarity_monotone():
-    rng = np.random.default_rng(8)
+    # every start column at t = 0..60: mixing_time's tracked-column rule
+    # needs single-start TV to be nonincreasing in t
     for seed in (1, 2, 3):
         g = small_world(n=2, r=1.0, seed=seed)
-        for _ in range(40):
-            v = int(rng.integers(g.num_vertices))
-            t = int(rng.integers(0, 60))
-            d0 = distance_to_stationarity(g, v, t)
-            d1 = distance_to_stationarity(g, v, t + 1)
-            assert d1 <= d0 + 1e-12
+        tv = 0.5 * np.array(stepwise_column_tv(g, np.arange(g.num_vertices), 60))
+        assert (tv[1:] <= tv[:-1] + 1e-12).all(), seed
 
 
 def test_mass_conserved_over_long_runs():
     g = small_world(n=3, r=2.0, seed=13)
+    kernel_t = walk._kernel_transpose(g)
     mu = np.zeros(g.num_vertices)
     mu[10] = 1.0
     for _ in range(10_000):
-        mu = step_distribution(g, mu)
+        mu = kernel_t @ mu
     assert abs(mu.sum() - 1.0) < 1e-9
 
 
 def test_reversibility():
     g = small_world(n=2, r=1.0, seed=6)
     pi = stationary(g)
-    P = lazy_kernel(g).toarray()
+    P = walk._kernel_transpose(g).T.toarray()
     # detailed balance holds exactly: both sides are 1 / (4|E|) on edges
     for u in range(g.num_vertices):
         for v in g.neighbours(u):
@@ -198,27 +171,38 @@ def stepwise_column_tv(g, start_vertices, t_max):
     Y[start_vertices, np.arange(start_vertices.size)] = 1.0
     cols = [np.abs(Y - pi).sum(axis=0)]
     for t in range(t_max):
-        Y = walk._evolve(kernel_t, Y, t, t + 1)
+        Y = kernel_t @ Y
         cols.append(np.abs(Y - pi).sum(axis=0))
     return cols
 
 
+class CountingKernel:
+    """A kernel wrapper that counts each product before it takes it."""
+
+    def __init__(self, kernel_t):
+        self.kernel_t, self.products = kernel_t, 0
+
+    def __matmul__(self, Y):
+        self.products += 1
+        return self.kernel_t @ Y
+
+
 def counted_mixing_time(monkeypatch, g, **kwargs):
     """(estimate or ConvergenceError, kernel products) of one mixing_time call."""
-    products = []
-    evolve = walk._evolve
+    kernels = []
+    kernel_transpose = walk._kernel_transpose
 
-    def counting_evolve(kernel_t, Y, t_from, t_to):
-        products.append(t_to - t_from)
-        return evolve(kernel_t, Y, t_from, t_to)
+    def counting_kernel_transpose(graph):
+        kernels.append(CountingKernel(kernel_transpose(graph)))
+        return kernels[-1]
 
     with monkeypatch.context() as m:
-        m.setattr(walk, "_evolve", counting_evolve)
+        m.setattr(walk, "_kernel_transpose", counting_kernel_transpose)
         try:
             result = mixing_time(g, **kwargs)
         except ConvergenceError as err:
             result = err
-    return result, sum(products)
+    return result, sum(k.products for k in kernels)
 
 
 def check_search(g, curve, epsilon, start_vertices):
@@ -302,9 +286,9 @@ def test_mixing_search_holds_two_blocks():
 def test_mixing_time_threshold_is_tight():
     g = small_world(n=2, r=1.0, seed=9)
     est = mixing_time(g, starts="all", epsilon=0.25)
-    worst_at = lambda t: max(distance_to_stationarity(g, int(v), t) for v in est.start_vertices)
-    assert worst_at(est.t_mix) <= 0.25
-    assert est.t_mix == 0 or worst_at(est.t_mix - 1) > 0.25
+    worst = [0.5 * float(c.max()) for c in stepwise_column_tv(g, est.start_vertices, est.t_mix)]
+    assert worst[est.t_mix] <= 0.25
+    assert est.t_mix == 0 or worst[est.t_mix - 1] > 0.25
 
 
 def test_mixing_time_subset_starts_lower():
@@ -454,24 +438,12 @@ def test_mixing_time_step_cap(monkeypatch):
 
 def test_walk_inputs_must_be_integers():
     g = small_world()
-    for bad in (2.7,) + NON_INTEGERS:
-        with pytest.raises(TypeError, match="step count"):
-            distance_to_stationarity(g, 3, bad)
-    with pytest.raises(TypeError):
-        distance_to_stationarity(g, 3.2, 2)
     with pytest.raises(TypeError):
         mixing_time(g, starts=[0.9, 5.5])
     with pytest.raises(TypeError):
         mixing_time(g, starts=np.array([0.0, 5.0]))
     with pytest.raises(ValueError):
         mixing_time(g, starts=[])
-    assert distance_to_stationarity(g, np.int64(3), np.int32(2)) == distance_to_stationarity(g, 3, 2)
-    with pytest.raises(TypeError):
-        sample_trajectory(g, 3.2, 5, np.random.default_rng(0))
-    with pytest.raises(TypeError):
-        sample_trajectory(g, 3, 5.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(sample_trajectory(g, np.int64(3), np.int32(5), np.random.default_rng(0)),
-                                  sample_trajectory(g, 3, 5, np.random.default_rng(0)))
     est = mixing_time(g, starts=np.array([5, 0], dtype=np.uint16))
     assert est.start_vertices.tolist() == [0, 5]
     assert est.t_mix == mixing_time(g, starts=[0, 5]).t_mix
@@ -494,33 +466,3 @@ def test_relaxation_bounds_reject_epsilon_outside_unit_interval():
         with pytest.raises(ValueError, match="epsilon"):
             relaxation_bounds(0.5, 0.1, epsilon=epsilon)
     assert relaxation_bounds(0.5, 0.1, epsilon=1)[1] == pytest.approx(2 * math.log(10))
-
-
-def test_trajectory_shape_and_moves():
-    g = small_world(n=3, r=1.0, seed=14)
-    rng = np.random.default_rng(0)
-    traj = sample_trajectory(g, 5, 200, rng)
-    assert traj.shape == (201,)
-    assert traj[0] == 5
-    for a, b in zip(traj, traj[1:]):
-        assert a == b or b in g.neighbours(int(a))
-    assert sample_trajectory(g, 7, 0, rng).tolist() == [7]
-
-
-def test_trajectory_one_step_law():
-    g = torus_only_graph(2)
-    v = coord_to_index(0, 0, 2)
-    rng = np.random.default_rng(123)
-    samples = 20_000
-    stays = 0
-    hits = {int(w): 0 for w in g.neighbours(v)}
-    for _ in range(samples):
-        nxt = int(sample_trajectory(g, v, 1, rng)[1])
-        if nxt == v:
-            stays += 1
-        else:
-            hits[nxt] += 1
-    assert abs(stays / samples - 0.5) < 4 * 0.5 / math.sqrt(samples)
-    for w, count in hits.items():
-        p = count / samples
-        assert abs(p - 0.125) < 4 * math.sqrt(0.125 * 0.875 / samples), w
